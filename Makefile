@@ -110,7 +110,7 @@ fleet-demo:
 # final report is byte-identical to an uninterrupted run (EXPERIMENTS.md
 # has the million-machine-window recipe).
 fleet-stream-demo:
-	$(GO) run ./cmd/plugvolt-fleet -stream -machines 1000 -epochs 4 \
+	$(GO) run ./cmd/plugvolt-fleet -machines 1000 -epochs 4 \
 		-attack none -window 2ms -batch 128 -progress \
 		-checkpoint fleet.ckpt -out fleet.json -metrics-out fleet.prom
 	@echo

@@ -612,7 +612,8 @@ func BenchmarkEnergyAccounting(b *testing.B) {
 func BenchmarkFleetThroughput(b *testing.B) {
 	const machines = 4
 	for i := 0; i < b.N; i++ {
-		rep, err := fleet.Run(fleet.Config{Machines: machines, Seed: 42, Attack: "voltjockey"})
+		rep, err := fleet.RunStream(fleet.StreamConfig{
+			Config: fleet.Config{Machines: machines, Seed: 42, Attack: "voltjockey"}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -660,42 +661,6 @@ func BenchmarkFleetStreaming(b *testing.B) {
 	}
 	b.ReportMetric(float64(machines*epochs*b.N)/b.Elapsed().Seconds(), "machine-windows/s")
 	b.ReportMetric(float64(highWater)/(1<<20), "heap-high-water-MB")
-}
-
-// Ablation: adaptive bisection vs the full Algorithm 2 scan — probes spent
-// to obtain a guard-ready unsafe set.
-func BenchmarkAblationAdaptiveVsSweep(b *testing.B) {
-	b.Run("full-sweep", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, grid := characterize(b, "skylake", 42)
-			points := len(grid.FreqsKHz) * len(grid.OffsetsMV)
-			b.ReportMetric(float64(points), "grid-points")
-		}
-	})
-	b.Run("adaptive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sys, err := plugvolt.NewSystem("skylake", 42)
-			if err != nil {
-				b.Fatal(err)
-			}
-			a, err := core.NewAdaptiveCharacterizer(sys.Platform, plugvolt.QuickSweep(), 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			unsafe, results, err := a.Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(unsafe.OnsetMV) != 29 {
-				b.Fatalf("boundaries %d", len(unsafe.OnsetMV))
-			}
-			probes := 0
-			for _, r := range results {
-				probes += r.Probes
-			}
-			b.ReportMetric(float64(probes), "grid-points")
-		}
-	})
 }
 
 // S6 — PR 6 probe economics: the bisect characterization strategy vs the

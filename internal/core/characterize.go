@@ -198,22 +198,13 @@ func (c *Characterizer) Run() (*Grid, error) {
 	return g, nil
 }
 
-// sweepRow runs Algorithm 2's inner loop for one frequency: pin the row
-// frequency through cpupower, walk the offset axis until the first crash,
-// and label everything deeper Crash (Eq. 1 is monotone in V, so deeper
-// offsets are at least as bad). A crash reboots the platform and rebuilds
-// the cpufreq stack, as the paper's harness must.
-func (c *Characterizer) sweepRow(freqKHz int, offs []int) ([]Classification, error) {
-	row := make([]Classification, len(offs))
-	if err := c.sweepRowInto(row, freqKHz, offs); err != nil {
-		return nil, err
-	}
-	return row, nil
-}
-
-// sweepRowInto is sweepRow writing into a caller-provided buffer (len(offs)
-// cells), so the sweep engines can slab-allocate the whole grid up front
-// instead of allocating per row.
+// sweepRowInto runs Algorithm 2's inner loop for one frequency, writing
+// into a caller-provided buffer (len(offs) cells) so the sweep engines can
+// slab-allocate the whole grid up front: pin the row frequency through
+// cpupower, walk the offset axis until the first crash, and label
+// everything deeper Crash (Eq. 1 is monotone in V, so deeper offsets are at
+// least as bad). A crash reboots the platform and rebuilds the cpufreq
+// stack, as the paper's harness must.
 func (c *Characterizer) sweepRowInto(row []Classification, freqKHz int, offs []int) error {
 	// Line 9: set core frequency through cpupower.
 	if err := c.cp.FrequencySet(c.cfg.VictimCore, freqKHz); err != nil {

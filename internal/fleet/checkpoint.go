@@ -78,20 +78,20 @@ func ckptErr(class error, format string, args ...any) *CheckpointError {
 // (Machines..WindowPS) are stored redundantly with the fingerprint so a
 // mismatch error can say what differs.
 type Checkpoint struct {
-	Version      int                 `json:"version"`
-	Fingerprint  uint64              `json:"fingerprint"`
-	Machines     int                 `json:"machines"`
-	MachinesDone int                 `json:"machines_done"`
-	BatchesDone  int                 `json:"batches_done"`
-	Epochs       int                 `json:"epochs"`
-	Seed         int64               `json:"seed"`
-	Attack       string              `json:"attack"`
-	Models       []string            `json:"models"`
-	WindowPS     int64               `json:"window_ps"`
-	Aggregate    Aggregate           `json:"aggregate"`
-	ModelRows    []ModelSummary      `json:"by_model"`
-	Failures     []*MachineError     `json:"failures,omitempty"`
-	TotalErrors  int                 `json:"total_errors"`
+	Version      int             `json:"version"`
+	Fingerprint  uint64          `json:"fingerprint"`
+	Machines     int             `json:"machines"`
+	MachinesDone int             `json:"machines_done"`
+	BatchesDone  int             `json:"batches_done"`
+	Epochs       int             `json:"epochs"`
+	Seed         int64           `json:"seed"`
+	Attack       string          `json:"attack"`
+	Models       []string        `json:"models"`
+	WindowPS     int64           `json:"window_ps"`
+	Aggregate    Aggregate       `json:"aggregate"`
+	ModelRows    []ModelSummary  `json:"by_model"`
+	Failures     []*MachineError `json:"failures,omitempty"`
+	TotalErrors  int             `json:"total_errors"`
 	// Incidents carries the capped flight-recorder bundle list across the
 	// boundary (the exact count lives in Aggregate.Incidents), so a resumed
 	// run's incident collection is byte-identical to an uninterrupted one.

@@ -1,5 +1,4 @@
-// Package fleet is the repository's first fleet-scale workload: a worker-pool
-// engine that simulates N independent guarded machines — mixed Sky Lake /
+// Package fleet simulates N independent guarded machines — mixed Sky Lake /
 // Kaby Lake R / Comet Lake specs — each booting, characterizing, deploying
 // the polling countermeasure and (optionally) surviving an attack campaign,
 // with every machine's telemetry merged into one aggregate report.
@@ -12,11 +11,14 @@
 // like?) and to give the benchmark harness a multi-core workload whose inner
 // loop is the guard's zero-alloc poll path.
 //
-// Determinism mirrors the PR 1 sharding invariant: machine i's seed is
+// RunStream is the engine: it carries the fleet through in bounded batches,
+// so resident memory is O(batch), not O(fleet). Determinism mirrors the
+// characterizer's sharding invariant: machine i's seed is
 // MachineSeed(fleet seed, i) — a pure function of the index — machines are
-// simulated on private platforms, and results are merged by index after all
-// workers finish, never in completion order. The report (JSON and merged
-// Prometheus exposition) is therefore byte-identical for any -workers value.
+// simulated on private platforms, and results fold in machine index order,
+// never in completion order. The report (JSON and merged Prometheus
+// exposition) is therefore byte-identical for any worker count, batch size,
+// epoch split or kill/resume point.
 //
 // Model specs are shared: one *models.Spec per distinct model serves every
 // machine of that model, so the validated timing-circuit template and the
@@ -25,12 +27,8 @@
 package fleet
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"runtime"
-	"sync"
 
 	"plugvolt"
 	"plugvolt/internal/attack"
@@ -67,7 +65,7 @@ func (e *MachineError) Error() string {
 const maxRecordedFailures = 16
 
 // PartialError reports that the fleet completed but some machines failed.
-// Run and RunStream return it alongside a fully-populated report: the
+// RunStream returns it alongside a fully-populated report: the
 // healthy machines' results are valid, and the caller decides whether a
 // partial fleet is acceptable. Failures are listed in machine-index order,
 // capped at maxRecordedFailures; Total counts every failure.
@@ -98,7 +96,7 @@ func (e *PartialError) record(me *MachineError) {
 // failpoint, when non-nil, injects an error at the named lifecycle stage of
 // machine idx. Test-only hook: it lets the partial-failure contract be
 // exercised per stage and per machine without contriving real hardware
-// failures. Set before calling Run/RunStream, restore after it returns.
+// failures. Set before calling RunStream, restore after it returns.
 var failpoint func(stage string, idx int) error
 
 func injectedFailure(stage string, idx int) error {
@@ -112,8 +110,9 @@ func injectedFailure(stage string, idx int) error {
 type Config struct {
 	// Machines is the fleet size.
 	Machines int
-	// Workers bounds simulation concurrency; <= 0 means GOMAXPROCS. The
-	// worker count never changes any result byte — only wall-clock time.
+	// Workers bounds simulation concurrency; <= 0 means GOMAXPROCS, and it
+	// is clamped to the batch size. The worker count never changes any
+	// result byte — only wall-clock time.
 	Workers int
 	// Models are cycled over the machine index (machine i gets
 	// Models[i%len]); empty means plugvolt.Models() — the full mixed fleet.
@@ -139,7 +138,7 @@ type Config struct {
 	// a victim fault or crash freezes a deterministic incident bundle with
 	// this many post-trigger records. Captured bundles surface in the
 	// report's Incidents list (machine index order, capped at
-	// maxRecordedIncidents) and in per-row/per-model/aggregate counts.
+	// maxRecordedIncidents) and in the per-model and aggregate counts.
 	// 0 disables recording entirely — the guard hot path never sees the
 	// recorder.
 	FlightWindow int
@@ -150,43 +149,6 @@ type Config struct {
 // idiom, so a machine replays identically no matter which worker runs it.
 func MachineSeed(base int64, index int) int64 {
 	return rng.IndexSeed(base, index)
-}
-
-// AttackSummary is the per-machine campaign outcome in report form.
-type AttackSummary struct {
-	Name           string `json:"name"`
-	Succeeded      bool   `json:"succeeded"`
-	Attempts       int    `json:"attempts"`
-	MailboxWrites  int    `json:"mailbox_writes"`
-	BlockedWrites  int    `json:"blocked_writes"`
-	FaultsObserved int    `json:"faults_observed"`
-	Crashes        int    `json:"crashes"`
-	// ProbesToFirstFault is the 1-based probe ordinal at which a
-	// search-based campaign (redteam) landed its first fault; 0 means no
-	// fault, or a fixed-schedule campaign.
-	ProbesToFirstFault int    `json:"probes_to_first_fault,omitempty"`
-	DurationPS         int64  `json:"duration_ps"`
-	Notes              string `json:"notes,omitempty"`
-}
-
-// MachineSummary is one machine's row in the fleet report.
-type MachineSummary struct {
-	Index              int            `json:"index"`
-	Model              string         `json:"model"`
-	Seed               int64          `json:"seed"`
-	GuardChecks        uint64         `json:"guard_checks"`
-	GuardInterventions uint64         `json:"guard_interventions"`
-	Reboots            int            `json:"reboots"`
-	VirtualPS          int64          `json:"virtual_ps"`
-	// EnergyJ is the machine's integrated package energy (all core planes
-	// plus uncore) over its virtual window, from the platform's
-	// deterministic joule integrator.
-	EnergyJ float64        `json:"energy_joules"`
-	Attack  *AttackSummary `json:"attack,omitempty"`
-	// Incidents counts the flight-recorder bundles this machine captured
-	// (0 and absent unless Config.FlightWindow enabled recording).
-	Incidents int    `json:"incidents,omitempty"`
-	Err       string `json:"error,omitempty"`
 }
 
 // Aggregate is the fleet-level rollup, summed in machine-index order.
@@ -213,118 +175,26 @@ type Aggregate struct {
 	Incidents int `json:"incidents,omitempty"`
 }
 
-// Report is a completed fleet run. Its JSON and the merged exposition are
-// byte-identical across worker counts, which is why the worker count itself
-// is deliberately absent from the report body.
-type Report struct {
-	Fleet struct {
-		Machines int      `json:"machines"`
-		Models   []string `json:"models"`
-		Seed     int64    `json:"seed"`
-		Attack   string   `json:"attack"`
-	} `json:"fleet"`
-	MachineRows []MachineSummary `json:"machines"`
-	Aggregate   Aggregate        `json:"aggregate"`
-	// Incidents are the captured flight-recorder bundles in machine index
-	// order, capped at maxRecordedIncidents; Aggregate.Incidents keeps the
-	// exact count. Empty unless Config.FlightWindow enabled recording.
-	Incidents []Incident `json:"incidents,omitempty"`
-	// Merged is the fleet-wide telemetry aggregate: every machine's snapshot
-	// folded through telemetry.MergeSnapshots in index order. Excluded from
-	// the JSON report (it has its own exposition format); render it with
-	// WriteMetrics.
-	Merged *telemetry.Snapshot `json:"-"`
-}
-
-// JSON renders the report deterministically.
-func (r *Report) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
-
-// WriteMetrics renders the merged fleet exposition in Prometheus text form.
-func (r *Report) WriteMetrics(w io.Writer) error {
-	return r.Merged.WritePrometheus(w)
-}
-
-// machineResult carries one finished machine from a worker to the merge
-// step: the report row, the machine's telemetry snapshot, and its typed
-// failure (nil for a healthy machine).
+// machineResult is one finished machine, carried from a worker to the
+// index-ordered fold: the counters the aggregate and per-model rollups sum,
+// the machine's telemetry snapshot, its captured incidents, and its typed
+// failure (nil for a healthy machine). A failed machine carries only its
+// model and err.
 type machineResult struct {
-	row       MachineSummary
+	model              string
+	guardChecks        uint64
+	guardInterventions uint64
+	reboots            int
+	virtualPS          int64
+	// energyJ is the machine's integrated package energy (all core planes
+	// plus uncore) over its virtual window, from the platform's
+	// deterministic joule integrator.
+	energyJ float64
+	// campaign is the attack outcome; nil for an idle machine.
+	campaign  *attack.Result
 	snap      *telemetry.Snapshot
-	err       *MachineError
 	incidents []Incident
-}
-
-// Run simulates the fleet and merges the results. Per-machine failures are
-// recorded in that machine's row (and counted in Aggregate.Errors), and the
-// run keeps going; when any machine failed, the fully-populated report is
-// returned together with a *PartialError naming each failed machine and
-// stage. Only configuration errors abort the run with a nil report.
-func Run(cfg Config) (*Report, error) {
-	modelNames, specs, err := cfg.normalize()
-	if err != nil {
-		return nil, err
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Machines {
-		workers = cfg.Machines
-	}
-
-	// Index-addressed results: workers write disjoint slots, the merge below
-	// reads them in index order after the barrier — completion order (and
-	// thus the worker count) can never reorder the report.
-	results := make([]machineResult, cfg.Machines)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				model := modelNames[idx%len(modelNames)]
-				results[idx] = runMachine(&cfg, idx, model, specs[model], 1)
-			}
-		}()
-	}
-	for i := 0; i < cfg.Machines; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
-	rep := &Report{}
-	rep.Fleet.Machines = cfg.Machines
-	rep.Fleet.Models = modelNames
-	rep.Fleet.Seed = cfg.Seed
-	rep.Fleet.Attack = cfg.Attack
-	rep.Aggregate.Machines = cfg.Machines
-	partial := &PartialError{}
-	snaps := make([]*telemetry.Snapshot, 0, cfg.Machines)
-	for i := range results {
-		row := results[i].row
-		rep.MachineRows = append(rep.MachineRows, row)
-		foldRow(&rep.Aggregate, &row)
-		rep.Incidents = appendIncidents(rep.Incidents, results[i].incidents)
-		if results[i].err != nil {
-			partial.record(results[i].err)
-		}
-		if results[i].snap != nil {
-			snaps = append(snaps, results[i].snap)
-		}
-	}
-	merged, err := telemetry.MergeSnapshots(snaps...)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: merging telemetry: %w", err)
-	}
-	rep.Merged = merged
-	if partial.Total > 0 {
-		return rep, partial
-	}
-	return rep, nil
+	err       *MachineError
 }
 
 // normalize validates the configuration, defaults the attack and window, and
@@ -361,20 +231,20 @@ func (cfg *Config) normalize() ([]string, map[string]*models.Spec, error) {
 	return modelNames, specs, nil
 }
 
-// foldRow accumulates one machine row into the aggregate. Both engines and
-// the checkpoint resume path fold through this single function, in machine
-// index order, so their aggregates are identical by construction.
-func foldRow(agg *Aggregate, row *MachineSummary) {
-	agg.GuardChecks += row.GuardChecks
-	agg.GuardInterventions += row.GuardInterventions
-	agg.Reboots += row.Reboots
-	agg.VirtualPS += row.VirtualPS
-	agg.EnergyJ += row.EnergyJ
-	agg.Incidents += row.Incidents
-	if row.Err != "" {
+// foldRow accumulates one machine into the aggregate. The engine folds in
+// machine index order, and the checkpoint carries the running aggregate, so
+// the result never depends on the execution split.
+func foldRow(agg *Aggregate, r *machineResult) {
+	agg.GuardChecks += r.guardChecks
+	agg.GuardInterventions += r.guardInterventions
+	agg.Reboots += r.reboots
+	agg.VirtualPS += r.virtualPS
+	agg.EnergyJ += r.energyJ
+	agg.Incidents += len(r.incidents)
+	if r.err != nil {
 		agg.Errors++
 	}
-	if a := row.Attack; a != nil {
+	if a := r.campaign; a != nil {
 		agg.AttacksRun++
 		if a.Succeeded {
 			agg.AttacksSucceeded++
@@ -401,15 +271,13 @@ func validAttack(name string) bool {
 // spec, characterize (single-sharded), deploy the guard, face the campaign
 // (or idle the guard window in epochs fixed time slices — slicing advances
 // the same simulator through the same events, so the epoch count never
-// changes a result byte), collect telemetry. Every error is folded into the
-// row and surfaced as a typed MachineError so the fleet keeps going; rows
-// are pure functions of (cfg, idx, spec).
+// changes a result byte), collect telemetry. Every error is surfaced as a
+// typed MachineError in the result so the fleet keeps going; results are
+// pure functions of (cfg, idx, spec).
 func runMachine(cfg *Config, idx int, model string, spec *models.Spec, epochs int) machineResult {
 	seed := MachineSeed(cfg.Seed, idx)
-	row := MachineSummary{Index: idx, Model: model, Seed: seed}
 	fail := func(stage string, err error) machineResult {
-		row.Err = fmt.Sprintf("%s: %v", stage, err)
-		return machineResult{row: row,
+		return machineResult{model: model,
 			err: &MachineError{Index: idx, Model: model, Stage: stage, Cause: err.Error()}}
 	}
 	stage := func(name string) (machineResult, error) {
@@ -456,20 +324,14 @@ func runMachine(cfg *Config, idx int, model string, spec *models.Spec, epochs in
 	if err != nil {
 		return fail("deploy", err)
 	}
+	var campaign *attack.Result
 	if atk := campaignFor(cfg.Attack, seed); atk != nil {
 		if res, err := stage("attack"); err != nil {
 			return res
 		}
-		res, err := atk.Run(sys.Env(), pol.Name())
+		campaign, err = atk.Run(sys.Env(), pol.Name())
 		if err != nil {
 			return fail("attack", err)
-		}
-		row.Attack = &AttackSummary{
-			Name: res.Attack, Succeeded: res.Succeeded, Attempts: res.Attempts,
-			MailboxWrites: res.MailboxWrites, BlockedWrites: res.BlockedWrites,
-			FaultsObserved: res.FaultsObserved, Crashes: res.Crashes,
-			ProbesToFirstFault: res.ProbesToFirstFault,
-			DurationPS:         int64(res.Duration), Notes: res.Notes,
 		}
 	} else {
 		if epochs < 1 {
@@ -486,15 +348,19 @@ func runMachine(cfg *Config, idx int, model string, spec *models.Spec, epochs in
 			sys.RunFor(d)
 		}
 	}
-	row.GuardChecks = pol.Guard.Checks
-	row.GuardInterventions = pol.Guard.Interventions
-	row.Reboots = sys.Platform.Reboots
-	row.VirtualPS = int64(sys.Platform.Sim.Now())
-	row.EnergyJ = sys.Platform.Energy.PackageEnergyJ()
 	incidents := collectIncidents(idx, model, rec)
-	row.Incidents = len(incidents)
 	sys.CollectTelemetry()
-	return machineResult{row: row, snap: sys.Telemetry.Registry().Snapshot(), incidents: incidents}
+	return machineResult{
+		model:              model,
+		guardChecks:        pol.Guard.Checks,
+		guardInterventions: pol.Guard.Interventions,
+		reboots:            sys.Platform.Reboots,
+		virtualPS:          int64(sys.Platform.Sim.Now()),
+		energyJ:            sys.Platform.Energy.PackageEnergyJ(),
+		campaign:           campaign,
+		snap:               sys.Telemetry.Registry().Snapshot(),
+		incidents:          incidents,
+	}
 }
 
 // campaignFor builds the per-machine attack campaign; nil means "none".

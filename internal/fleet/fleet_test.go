@@ -2,42 +2,23 @@ package fleet
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"plugvolt/internal/sim"
 )
 
-// renderFleet runs one fleet configuration and renders both report forms.
-func renderFleet(t *testing.T, cfg Config) (reportJSON, metrics []byte) {
-	t.Helper()
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return j, buf.Bytes()
-}
-
 // TestFleetDeterminismAcrossWorkers is the tentpole invariant, mirroring the
-// PR 1 sharding contract: the full report JSON and the merged Prometheus
-// exposition must be byte-identical at -workers 1, 2 and 8. Runs under -race
-// in CI (the test job runs the whole suite with the race detector), which
-// also vets the worker pool's disjoint-slot writes.
+// characterizer's sharding contract: the full report JSON and the merged
+// Prometheus exposition must be byte-identical at -workers 1, 2 and 8. Runs
+// under -race in CI (the test job runs the whole suite with the race
+// detector), which also vets the worker pool's disjoint-slot writes.
 func TestFleetDeterminismAcrossWorkers(t *testing.T) {
 	base := Config{Machines: 5, Seed: 99, Attack: "voltjockey"}
 	var wantJSON, wantMetrics []byte
 	for _, workers := range []int{1, 2, 8} {
-		cfg := base
+		cfg := StreamConfig{Config: base}
 		cfg.Workers = workers
-		j, m := renderFleet(t, cfg)
+		j, m := renderStream(t, cfg)
 		if wantJSON == nil {
 			wantJSON, wantMetrics = j, m
 			continue
@@ -63,9 +44,9 @@ func TestFleetRedTeamDeterminismAcrossWorkers(t *testing.T) {
 	base := Config{Machines: 3, Seed: 21, Attack: "redteam"}
 	var wantJSON, wantMetrics []byte
 	for _, workers := range []int{1, 2, 8} {
-		cfg := base
+		cfg := StreamConfig{Config: base}
 		cfg.Workers = workers
-		j, m := renderFleet(t, cfg)
+		j, m := renderStream(t, cfg)
 		if wantJSON == nil {
 			wantJSON, wantMetrics = j, m
 			continue
@@ -85,12 +66,12 @@ func TestFleetRedTeamDeterminismAcrossWorkers(t *testing.T) {
 // TestFleetGuardProtects sanity-checks the simulated outcome: a guarded
 // mixed fleet under attack sees interventions and no successful campaigns.
 func TestFleetGuardProtects(t *testing.T) {
-	rep, err := Run(Config{Machines: 3, Workers: 2, Seed: 7, Attack: "voltjockey"})
+	rep, err := RunStream(StreamConfig{Config: Config{Machines: 3, Workers: 2, Seed: 7, Attack: "voltjockey"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Aggregate.Errors != 0 {
-		t.Fatalf("fleet errors: %+v", rep.MachineRows)
+		t.Fatalf("fleet errors: %+v", rep.ModelRows)
 	}
 	if rep.Aggregate.AttacksRun != 3 || rep.Aggregate.AttacksSucceeded != 0 {
 		t.Fatalf("aggregate %+v: want 3 attacks run, 0 succeeded", rep.Aggregate)
@@ -98,13 +79,14 @@ func TestFleetGuardProtects(t *testing.T) {
 	if rep.Aggregate.GuardChecks == 0 || rep.Aggregate.GuardInterventions == 0 {
 		t.Fatalf("aggregate %+v: guard never engaged", rep.Aggregate)
 	}
-	// The default model cycle covers all three specs.
-	models := map[string]bool{}
-	for _, row := range rep.MachineRows {
-		models[row.Model] = true
+	// The default model cycle covers all three specs, one machine each.
+	if len(rep.ModelRows) != 3 {
+		t.Fatalf("fleet models %+v: want all three specs", rep.ModelRows)
 	}
-	if len(models) != 3 {
-		t.Fatalf("fleet models %v: want all three specs", models)
+	for _, m := range rep.ModelRows {
+		if m.Machines != 1 {
+			t.Fatalf("model %s ran %d machines, want 1", m.Model, m.Machines)
+		}
 	}
 	// The merged exposition aggregates per-machine series: total polls in
 	// the merged snapshot must equal the sum of per-machine checks.
@@ -113,37 +95,35 @@ func TestFleetGuardProtects(t *testing.T) {
 	}
 }
 
-// TestFleetIdleWindow covers the "none" campaign: machines idle under guard
-// for the configured window and accumulate poll checks proportional to it.
+// TestFleetIdleWindow covers the "none" campaign machine by machine: each
+// idles under guard for the configured window, runs no campaign, and
+// accumulates poll checks.
 func TestFleetIdleWindow(t *testing.T) {
-	rep, err := Run(Config{Machines: 2, Workers: 2, Seed: 3, Attack: "none",
-		Window: 5 * sim.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Aggregate.AttacksRun != 0 {
-		t.Fatalf("idle fleet ran %d attacks", rep.Aggregate.AttacksRun)
-	}
-	if rep.Aggregate.Errors != 0 || rep.Aggregate.GuardChecks == 0 {
-		t.Fatalf("aggregate %+v", rep.Aggregate)
-	}
-	for _, row := range rep.MachineRows {
-		if row.VirtualPS < int64(5*sim.Millisecond) {
-			t.Fatalf("machine %d only reached %d ps", row.Index, row.VirtualPS)
+	cfg := Config{Machines: 2, Seed: 3, Attack: "none", Window: 5 * sim.Millisecond}
+	_, results := runSerial(t, &cfg)
+	for idx, r := range results {
+		if r.err != nil || r.campaign != nil {
+			t.Fatalf("machine %d: err %v, campaign %+v", idx, r.err, r.campaign)
+		}
+		if r.guardChecks == 0 {
+			t.Fatalf("machine %d: guard never polled", idx)
+		}
+		if r.virtualPS < int64(5*sim.Millisecond) {
+			t.Fatalf("machine %d only reached %d ps", idx, r.virtualPS)
 		}
 	}
 }
 
 // TestFleetConfigValidation covers the config error paths.
 func TestFleetConfigValidation(t *testing.T) {
-	if _, err := Run(Config{Machines: 0}); err == nil {
-		t.Error("zero machines accepted")
-	}
-	if _, err := Run(Config{Machines: 1, Attack: "rowhammer"}); err == nil {
-		t.Error("unknown attack accepted")
-	}
-	if _, err := Run(Config{Machines: 1, Models: []string{"pentium4"}}); err == nil {
-		t.Error("unknown model accepted")
+	for name, cfg := range map[string]Config{
+		"zero machines":  {Machines: 0},
+		"unknown attack": {Machines: 1, Attack: "rowhammer"},
+		"unknown model":  {Machines: 1, Models: []string{"pentium4"}},
+	} {
+		if _, err := RunStream(StreamConfig{Config: cfg}); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
@@ -166,60 +146,50 @@ func TestMachineSeedProperties(t *testing.T) {
 	}
 }
 
-// TestFleetReportOmitsWorkers guards the invariant structurally: the report
-// must not mention the worker count anywhere, or byte-identity across
-// -workers values becomes accidental instead of designed.
+// TestFleetReportOmitsWorkers: neither report form may name the worker
+// count, even when it exceeds the fleet and the pool is clamped to it.
 func TestFleetReportOmitsWorkers(t *testing.T) {
-	rep, err := Run(Config{Machines: 1, Workers: 3, Seed: 1, Attack: "none", Window: sim.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	cfg := StreamConfig{Config: Config{Machines: 1, Seed: 1, Attack: "none", Window: sim.Millisecond}}
+	cfg.Workers = 3
+	j, m := renderStream(t, cfg)
+	if bytes.Contains(j, []byte("workers")) {
+		t.Error("report JSON leaks the worker count")
 	}
-	j, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(j), "workers") {
-		t.Fatal("report JSON leaks the worker count")
+	if bytes.Contains(m, []byte("workers")) {
+		t.Error("exposition leaks the worker count")
 	}
 }
 
 // TestFleetEnergyRollup pins the joule axis of the report: every machine
-// bills energy, the aggregate is the index-ordered sum of the rows (so it
-// cannot depend on the execution split), and the streaming engine's
-// aggregate and per-model energy reproduce the batch engine's bit for bit.
+// bills energy, and the engine's aggregate and per-model energy are the
+// machine-index-ordered sums of the machines' bills, bit for bit, whatever
+// the execution split.
 func TestFleetEnergyRollup(t *testing.T) {
 	base := Config{Machines: 4, Seed: 13, Attack: "voltjockey"}
 	cfg := base
-	cfg.Workers = 2
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, results := runSerial(t, &cfg)
 	var sum float64
 	byModel := map[string]float64{}
-	for _, row := range rep.MachineRows {
-		if row.EnergyJ <= 0 {
-			t.Fatalf("machine %d billed %g J", row.Index, row.EnergyJ)
+	for idx, r := range results {
+		if r.energyJ <= 0 {
+			t.Fatalf("machine %d billed %g J", idx, r.energyJ)
 		}
-		sum += row.EnergyJ
-		byModel[row.Model] += row.EnergyJ
-	}
-	if sum != rep.Aggregate.EnergyJ {
-		t.Fatalf("aggregate energy %v != index-ordered row sum %v", rep.Aggregate.EnergyJ, sum)
+		sum += r.energyJ
+		byModel[r.model] += r.energyJ
 	}
 
 	scfg := StreamConfig{Config: base, Batch: 2}
 	scfg.Workers = 8
-	srep, err := RunStream(scfg)
+	rep, err := RunStream(scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srep.Aggregate.EnergyJ != rep.Aggregate.EnergyJ {
-		t.Fatalf("stream aggregate energy %v != batch %v", srep.Aggregate.EnergyJ, rep.Aggregate.EnergyJ)
+	if rep.Aggregate.EnergyJ != sum {
+		t.Fatalf("aggregate energy %v != index-ordered machine sum %v", rep.Aggregate.EnergyJ, sum)
 	}
-	for _, m := range srep.ModelRows {
+	for _, m := range rep.ModelRows {
 		if m.EnergyJ != byModel[m.Model] {
-			t.Fatalf("model %s stream energy %v != batch fold %v", m.Model, m.EnergyJ, byModel[m.Model])
+			t.Fatalf("model %s energy %v != index-ordered machine sum %v", m.Model, m.EnergyJ, byModel[m.Model])
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"plugvolt/internal/flight"
@@ -27,7 +26,7 @@ func weakGuardFleet() Config {
 // each carried bundle decodes to the frozen pre-fault history — including
 // the accepted unsafe mailbox write that caused the triggering fault.
 func TestFleetIncidentsCaptured(t *testing.T) {
-	rep, err := Run(weakGuardFleet())
+	rep, err := RunStream(StreamConfig{Config: weakGuardFleet()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,12 +37,12 @@ func TestFleetIncidentsCaptured(t *testing.T) {
 	if rep.Aggregate.Incidents == 0 {
 		t.Fatal("no incidents captured across a faulting fleet")
 	}
-	rowTotal := 0
-	for _, row := range rep.MachineRows {
-		rowTotal += row.Incidents
+	modelTotal := 0
+	for _, m := range rep.ModelRows {
+		modelTotal += m.Incidents
 	}
-	if rowTotal != rep.Aggregate.Incidents {
-		t.Fatalf("per-row incident counts sum to %d, aggregate says %d", rowTotal, rep.Aggregate.Incidents)
+	if modelTotal != rep.Aggregate.Incidents {
+		t.Fatalf("per-model incident counts sum to %d, aggregate says %d", modelTotal, rep.Aggregate.Incidents)
 	}
 	if len(rep.Incidents) != rep.Aggregate.Incidents {
 		t.Fatalf("report retains %d incidents, aggregate counts %d (under the cap they must match)",
@@ -65,7 +64,7 @@ func TestFleetIncidentsCaptured(t *testing.T) {
 		if n != len(inc.Bundle) {
 			t.Errorf("machine %d: bundle has %d trailing bytes", inc.Machine, len(inc.Bundle)-n)
 		}
-		// The row carries the fleet cycle name ("skylake"), the bundle the
+		// The incident carries the fleet cycle name ("skylake"), the bundle the
 		// spec codename ("Sky Lake") — both must be present and the
 		// structural fields must agree.
 		if b.Model == "" || len(b.Records) != inc.Records || b.Seq != inc.Seq {
@@ -107,53 +106,27 @@ func TestFleetIncidentsCaptured(t *testing.T) {
 	}
 }
 
-// TestFleetIncidentByteIdentityAcrossWorkers extends the fleet determinism
-// contract to the carried bundles: the full report JSON — framed incident
-// bytes included — must be identical at -workers 1, 2 and 8.
-func TestFleetIncidentByteIdentityAcrossWorkers(t *testing.T) {
-	var want []byte
-	for _, workers := range []int{1, 2, 8} {
-		cfg := weakGuardFleet()
-		cfg.Workers = workers
-		j, _ := renderFleet(t, cfg)
-		if want == nil {
-			want = j
-			continue
-		}
-		if !bytes.Equal(j, want) {
-			t.Errorf("workers=%d: report (incl. incident bundles) diverges from workers=1", workers)
-		}
-	}
-	if !bytes.Contains(want, []byte(`"incidents"`)) {
-		t.Fatal("report carries no incidents")
-	}
-}
-
-// TestStreamIncidentsMatchBatch: the streaming engine must collect the
-// byte-identical incident list the one-shot engine collects, for every
-// batch/worker split.
-func TestStreamIncidentsMatchBatch(t *testing.T) {
+// TestStreamIncidentsMatchReference extends the determinism contract to the
+// carried bundles: for every batch/worker split (workers 1, 2 and 8), the
+// full report JSON — framed incident bytes included — and the merged
+// exposition must be byte-identical to the serial reference's.
+func TestStreamIncidentsMatchReference(t *testing.T) {
 	base := weakGuardFleet()
-	batchRep, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batchRep.Incidents) == 0 {
+	want := referenceRun(t, base)
+	if len(want.Incidents) == 0 {
 		t.Fatal("scenario captured no incidents")
 	}
+	wantJSON, wantMetrics := renderStreamReport(t, want)
 	for _, split := range []struct{ batch, workers int }{{1, 1}, {2, 2}, {4, 8}} {
 		t.Run(fmt.Sprintf("batch=%d_workers=%d", split.batch, split.workers), func(t *testing.T) {
 			cfg := StreamConfig{Config: base, Batch: split.batch}
 			cfg.Workers = split.workers
-			rep, err := RunStream(cfg)
-			if err != nil {
-				t.Fatal(err)
+			j, m := renderStream(t, cfg)
+			if !bytes.Equal(j, wantJSON) {
+				t.Error("report JSON (incl. incident bundles) diverges from the reference")
 			}
-			if !reflect.DeepEqual(rep.Incidents, batchRep.Incidents) {
-				t.Error("stream incident list diverges from the one-shot engine")
-			}
-			if rep.Aggregate.Incidents != batchRep.Aggregate.Incidents {
-				t.Errorf("stream counts %d incidents, batch %d", rep.Aggregate.Incidents, batchRep.Aggregate.Incidents)
+			if !bytes.Equal(m, wantMetrics) {
+				t.Error("merged exposition diverges from the reference")
 			}
 		})
 	}
@@ -204,7 +177,7 @@ func TestStreamIncidentCheckpointResume(t *testing.T) {
 func TestFleetIncidentCap(t *testing.T) {
 	cfg := weakGuardFleet()
 	cfg.Machines = maxRecordedIncidents + 4
-	rep, err := Run(cfg)
+	rep, err := RunStream(StreamConfig{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +199,7 @@ func TestFleetIncidentCap(t *testing.T) {
 func TestFleetNoFlightNoIncidents(t *testing.T) {
 	cfg := weakGuardFleet()
 	cfg.FlightWindow = 0
-	rep, err := Run(cfg)
+	rep, err := RunStream(StreamConfig{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

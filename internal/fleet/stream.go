@@ -1,26 +1,20 @@
-// Streaming epoch engine: the fleet workload restructured so resident
-// memory is O(batch), not O(fleet).
-//
-// The one-shot Run engine materializes every machine's report row and
-// telemetry snapshot before merging — fine for 64 machines, fatal for the
-// million-machine north star. RunStream instead advances the fleet as a
-// stream of batches: a bounded worker pool carries one batch of machines
-// through their whole lifecycle (boot from the shared per-model Spec derived
-// cache, characterize, deploy the guard LUT, then the guard window in
-// Epochs fixed time slices), folds the batch into a running aggregate, a
-// per-model rollup and a merged telemetry snapshot, and discards it. Only
-// the current batch's results — and at most Workers live Systems — are ever
-// resident.
+// The streaming epoch engine: the fleet advances as a stream of batches. A
+// bounded worker pool carries one batch of machines through their whole
+// lifecycle (boot from the shared per-model Spec derived cache,
+// characterize, deploy the guard LUT, then the guard window in Epochs fixed
+// time slices), folds the batch into a running aggregate, a per-model
+// rollup and a merged telemetry snapshot, and discards it. Only the current
+// batch's results — and at most Workers live Systems — are ever resident.
 //
 // Determinism is the contract the test battery enforces: machine i is a
 // pure function of (config, i) via MachineSeed, batches fold in machine
 // index order, and telemetry folds as a strict left-fold through
 // telemetry.MergeSnapshots — the same sequence of floating-point additions
-// the one-shot merge performs — so the report JSON and the merged
-// Prometheus exposition are byte-identical to the batch engine's and across
-// every batch size, worker count, epoch split, and kill/resume point. The
-// report body deliberately carries no execution-shape field (no workers, no
-// batch, no epochs): byte-identity is designed, not accidental.
+// a single MergeSnapshots call over every machine performs — so the report
+// JSON and the merged Prometheus exposition are byte-identical across every
+// batch size, worker count, epoch split, and kill/resume point. The report
+// body deliberately carries no execution-shape field (no workers, no batch,
+// no epochs): byte-identity is designed, not accidental.
 //
 // Checkpointing piggybacks on the fold: after each batch the engine's
 // entire mutable state is (machines done, aggregate, rollup, failures,
@@ -52,9 +46,8 @@ const DefaultStreamBatch = 256
 // checkpointing is enabled) resumes the run.
 var ErrHalted = errors.New("fleet: stream halted at batch boundary")
 
-// StreamConfig parameterizes a streaming fleet run. The embedded Config
-// fields keep their one-shot meaning; Workers is additionally clamped to
-// the batch size.
+// StreamConfig parameterizes a fleet run: the experiment (Config) plus the
+// execution shape and the run's checkpoint and observability hooks.
 type StreamConfig struct {
 	Config
 
@@ -118,10 +111,10 @@ type Progress struct {
 	HeapBytes uint64
 }
 
-// ModelSummary is the per-model rollup row of a streaming report: the
-// MachineSummary totals of every machine of one model, summed in machine
-// index order. Rollups replace per-machine rows at fleet scale — a million
-// rows is itself an O(fleet) report.
+// ModelSummary is the per-model rollup row of a fleet report: the totals of
+// every machine of one model, summed in machine index order. Rollups stand
+// in for per-machine rows at fleet scale — a million rows is itself an
+// O(fleet) report.
 type ModelSummary struct {
 	Model              string `json:"model"`
 	Machines           int    `json:"machines"`
@@ -143,19 +136,19 @@ type ModelSummary struct {
 	Incidents int `json:"incidents,omitempty"`
 }
 
-// foldModel accumulates one machine row into its model's rollup.
-func (m *ModelSummary) foldModel(row *MachineSummary) {
+// foldModel accumulates one machine into its model's rollup.
+func (m *ModelSummary) foldModel(r *machineResult) {
 	m.Machines++
-	m.GuardChecks += row.GuardChecks
-	m.GuardInterventions += row.GuardInterventions
-	m.Reboots += row.Reboots
-	m.VirtualPS += row.VirtualPS
-	m.EnergyJ += row.EnergyJ
-	m.Incidents += row.Incidents
-	if row.Err != "" {
+	m.GuardChecks += r.guardChecks
+	m.GuardInterventions += r.guardInterventions
+	m.Reboots += r.reboots
+	m.VirtualPS += r.virtualPS
+	m.EnergyJ += r.energyJ
+	m.Incidents += len(r.incidents)
+	if r.err != nil {
 		m.Errors++
 	}
-	if a := row.Attack; a != nil {
+	if a := r.campaign; a != nil {
 		m.AttacksRun++
 		if a.Succeeded {
 			m.AttacksSucceeded++
@@ -167,7 +160,7 @@ func (m *ModelSummary) foldModel(row *MachineSummary) {
 	}
 }
 
-// StreamReport is a completed streaming run. Everything in the JSON body is
+// StreamReport is a completed fleet run. Everything in the JSON body is
 // a pure function of the experiment (machines, models, seed, attack,
 // window) — execution shape (batch, workers, epochs) and interruption
 // history are structurally absent, which is what makes byte-identity across
@@ -213,10 +206,11 @@ type streamState struct {
 }
 
 // RunStream simulates the fleet as a stream of batches and returns the
-// folded report. Machine failures do not abort the stream; as with Run, a
-// fully-populated report is returned together with a *PartialError when any
-// machine failed. Configuration errors — and a Resume checkpoint whose
-// fingerprint does not match the config — abort with a nil report.
+// folded report. Machine failures do not abort the stream: a
+// fully-populated report is returned together with a *PartialError naming
+// each failed machine and stage. Configuration errors — and a Resume
+// checkpoint whose fingerprint does not match the config — abort with a nil
+// report.
 func RunStream(cfg StreamConfig) (*StreamReport, error) {
 	modelNames, specs, err := cfg.Config.normalize()
 	if err != nil {
@@ -285,26 +279,24 @@ func RunStream(cfg StreamConfig) (*StreamReport, error) {
 		close(jobs)
 		wg.Wait()
 
+		snaps := make([]*telemetry.Snapshot, 0, n+1)
+		snaps = append(snaps, st.merged)
 		for j := 0; j < n; j++ {
 			r := &results[j]
-			foldRow(&st.agg, &r.row)
-			st.modelRollup(r.row.Model).foldModel(&r.row)
+			foldRow(&st.agg, r)
+			st.modelRollup(r.model).foldModel(r)
 			st.incidents = appendIncidents(st.incidents, r.incidents)
 			if r.err != nil {
 				st.partial.record(r.err)
 			}
-		}
-		snaps := make([]*telemetry.Snapshot, 0, n+1)
-		snaps = append(snaps, st.merged)
-		for j := 0; j < n; j++ {
-			if results[j].snap != nil {
-				snaps = append(snaps, results[j].snap)
+			if r.snap != nil {
+				snaps = append(snaps, r.snap)
 			}
-			results[j] = machineResult{} // release the batch before the next one
+			*r = machineResult{} // release the batch before the next one
 		}
 		// Strict left-fold in machine index order: MergeSnapshots(merged,
-		// s_i, s_i+1, ...) performs the identical sequence of additions the
-		// one-shot MergeSnapshots(s_0, ..., s_n-1) performs, so incremental
+		// s_i, s_i+1, ...) performs the identical sequence of additions a
+		// single MergeSnapshots(s_0, ..., s_n-1) performs, so incremental
 		// folding is exact, not just approximately commutative.
 		st.merged, err = telemetry.MergeSnapshots(snaps...)
 		if err != nil {

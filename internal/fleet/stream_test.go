@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
 	"plugvolt/internal/sim"
+	"plugvolt/internal/telemetry"
 )
 
 // renderStream runs one streaming configuration and renders both report
@@ -37,56 +37,75 @@ func renderStreamReport(t *testing.T, rep *StreamReport) (reportJSON, metrics []
 	return j, buf.Bytes()
 }
 
-// rollupFromBatch derives the streaming engine's per-model rollup from a
-// one-shot report's per-machine rows, folding in machine index order — the
-// reference the golden test compares the stream against.
-func rollupFromBatch(rep *Report) []ModelSummary {
-	st := &streamState{models: map[string]*ModelSummary{}}
-	for i := range rep.MachineRows {
-		st.modelRollup(rep.MachineRows[i].Model).foldModel(&rep.MachineRows[i])
-	}
-	return st.modelRows()
-}
-
-// TestStreamMatchesBatch is the batch-vs-streaming golden test: same seed,
-// same fleet — the streaming engine must reproduce the one-shot engine's
-// aggregate, per-model totals, and merged Prometheus exposition
-// byte-for-byte, for every batch/worker split. Runs under -race in the CI
-// fleet-stream-smoke job at workers 1/2/8.
-func TestStreamMatchesBatch(t *testing.T) {
-	base := Config{Machines: 6, Seed: 11, Attack: "voltjockey"}
-	batchRep, err := Run(base)
+// runSerial runs every machine of cfg in machine index order on the calling
+// goroutine and returns the model cycle and the per-machine results — the
+// view the engine folds away. cfg is normalized in place.
+func runSerial(t *testing.T, cfg *Config) ([]string, []machineResult) {
+	t.Helper()
+	modelNames, specs, err := cfg.normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wantMetrics bytes.Buffer
-	if err := batchRep.WriteMetrics(&wantMetrics); err != nil {
+	results := make([]machineResult, cfg.Machines)
+	for idx := range results {
+		model := modelNames[idx%len(modelNames)]
+		results[idx] = runMachine(cfg, idx, model, specs[model], 1)
+	}
+	return modelNames, results
+}
+
+// referenceRun is the oracle RunStream is checked against: runSerial's
+// machines folded through foldRow, foldModel and appendIncidents, and their
+// telemetry merged by a single MergeSnapshots call. No pool, no batches, no
+// checkpoint — only the fold definitions.
+func referenceRun(t *testing.T, cfg Config) *StreamReport {
+	t.Helper()
+	modelNames, results := runSerial(t, &cfg)
+	st := &streamState{models: map[string]*ModelSummary{}}
+	st.agg.Machines = cfg.Machines
+	snaps := make([]*telemetry.Snapshot, 0, len(results))
+	for i := range results {
+		r := &results[i]
+		foldRow(&st.agg, r)
+		st.modelRollup(r.model).foldModel(r)
+		st.incidents = appendIncidents(st.incidents, r.incidents)
+		if r.snap != nil {
+			snaps = append(snaps, r.snap)
+		}
+	}
+	merged, err := telemetry.MergeSnapshots(snaps...)
+	if err != nil {
 		t.Fatal(err)
 	}
-	wantRollup := rollupFromBatch(batchRep)
+	rep := &StreamReport{ModelRows: st.modelRows(), Aggregate: st.agg, Incidents: st.incidents, Merged: merged}
+	rep.Fleet.Machines = cfg.Machines
+	rep.Fleet.Models = modelNames
+	rep.Fleet.Seed = cfg.Seed
+	rep.Fleet.Attack = cfg.Attack
+	rep.Fleet.WindowPS = int64(cfg.Window)
+	return rep
+}
 
+// TestStreamMatchesReference is the engine's golden test: same seed, same
+// fleet — RunStream must reproduce the serial reference's report JSON
+// (aggregate, per-model rollup) and merged Prometheus exposition
+// byte-for-byte, for every batch/worker split. Runs under -race in the CI
+// fleet-stream-smoke job at workers 1/2/8.
+func TestStreamMatchesReference(t *testing.T) {
+	base := Config{Machines: 6, Seed: 11, Attack: "voltjockey"}
+	wantJSON, wantMetrics := renderStreamReport(t, referenceRun(t, base))
 	for _, split := range []struct{ batch, workers int }{
 		{1, 1}, {2, 2}, {3, 8}, {6, 1},
 	} {
 		t.Run(fmt.Sprintf("batch=%d_workers=%d", split.batch, split.workers), func(t *testing.T) {
 			cfg := StreamConfig{Config: base, Batch: split.batch}
 			cfg.Workers = split.workers
-			rep, err := RunStream(cfg)
-			if err != nil {
-				t.Fatal(err)
+			j, m := renderStream(t, cfg)
+			if !bytes.Equal(j, wantJSON) {
+				t.Errorf("report JSON diverges from the reference:\nstream    %s\nreference %s", j, wantJSON)
 			}
-			if !reflect.DeepEqual(rep.Aggregate, batchRep.Aggregate) {
-				t.Errorf("aggregate diverges:\nstream %+v\nbatch  %+v", rep.Aggregate, batchRep.Aggregate)
-			}
-			if !reflect.DeepEqual(rep.ModelRows, wantRollup) {
-				t.Errorf("rollup diverges:\nstream %+v\nbatch  %+v", rep.ModelRows, wantRollup)
-			}
-			var m bytes.Buffer
-			if err := rep.WriteMetrics(&m); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(m.Bytes(), wantMetrics.Bytes()) {
-				t.Error("merged exposition diverges from the one-shot engine")
+			if !bytes.Equal(m, wantMetrics) {
+				t.Error("merged exposition diverges from the reference")
 			}
 		})
 	}
@@ -258,9 +277,9 @@ func TestStreamResidentBound(t *testing.T) {
 	}
 }
 
-// TestStreamReportOmitsExecutionShape guards byte-identity structurally,
-// like TestFleetReportOmitsWorkers does for the one-shot engine: no
-// execution-shape word may appear in the report JSON.
+// TestStreamReportOmitsExecutionShape guards byte-identity structurally: no
+// execution-shape word may appear in the report JSON, or byte-identity
+// across those axes becomes accidental instead of designed.
 func TestStreamReportOmitsExecutionShape(t *testing.T) {
 	cfg := StreamConfig{Config: Config{Machines: 2, Seed: 1, Attack: "none",
 		Window: sim.Millisecond}, Batch: 1, Epochs: 2}
@@ -280,18 +299,9 @@ func TestStreamReportOmitsExecutionShape(t *testing.T) {
 	}
 }
 
-// TestStreamConfigValidation covers the streaming-specific config errors on
-// top of the shared ones.
+// TestStreamConfigValidation covers the execution-shape config errors on
+// top of the experiment ones TestFleetConfigValidation covers.
 func TestStreamConfigValidation(t *testing.T) {
-	if _, err := RunStream(StreamConfig{Config: Config{Machines: 0}}); err == nil {
-		t.Error("zero machines accepted")
-	}
-	if _, err := RunStream(StreamConfig{Config: Config{Machines: 1, Attack: "rowhammer"}}); err == nil {
-		t.Error("unknown attack accepted")
-	}
-	if _, err := RunStream(StreamConfig{Config: Config{Machines: 1, Models: []string{"pentium4"}}}); err == nil {
-		t.Error("unknown model accepted")
-	}
 	_, err := RunStream(StreamConfig{Config: Config{Machines: 1, Attack: "voltjockey"}, Epochs: 2})
 	if err == nil || !strings.Contains(err.Error(), "epochs") {
 		t.Errorf("epochs > 1 with an attack accepted (err=%v)", err)
@@ -301,7 +311,8 @@ func TestStreamConfigValidation(t *testing.T) {
 // TestPartialFailureTyped is the table-driven contract for the typed
 // partial-failure error: for every lifecycle stage, a machine failure must
 // surface as a *PartialError naming the machine index, model, stage and
-// cause — from both engines — while the healthy machines' results survive.
+// cause, and be counted against its model's rollup, while the healthy
+// machines' results survive.
 func TestPartialFailureTyped(t *testing.T) {
 	base := Config{Machines: 3, Seed: 7, Attack: "voltjockey"}
 	for _, stage := range []string{"boot", "characterize", "deploy", "attack"} {
@@ -314,47 +325,38 @@ func TestPartialFailureTyped(t *testing.T) {
 			}
 			defer func() { failpoint = nil }()
 
-			check := func(t *testing.T, agg Aggregate, err error) *PartialError {
-				t.Helper()
-				var partial *PartialError
-				if !errors.As(err, &partial) {
-					t.Fatalf("want *PartialError, got %v", err)
-				}
-				if partial.Total != 1 || len(partial.Failures) != 1 {
-					t.Fatalf("partial %+v: want exactly one failure", partial)
-				}
-				f := partial.Failures[0]
-				if f.Index != 1 || f.Stage != stage || !strings.Contains(f.Cause, "injected") {
-					t.Fatalf("failure %+v: want index 1, stage %s", f, stage)
-				}
-				if f.Model == "" {
-					t.Fatal("failure does not name the machine model")
-				}
-				if agg.Errors != 1 {
-					t.Fatalf("aggregate errors %d, want 1", agg.Errors)
-				}
-				if agg.GuardChecks == 0 {
-					t.Fatal("healthy machines did not run")
-				}
-				return partial
-			}
-
-			rep, err := Run(base)
+			rep, err := RunStream(StreamConfig{Config: base, Batch: 2})
 			if rep == nil {
 				t.Fatal("partial failure must still return the report")
 			}
-			check(t, rep.Aggregate, err)
-			if rep.MachineRows[1].Err == "" || rep.MachineRows[0].Err != "" || rep.MachineRows[2].Err != "" {
-				t.Fatalf("rows misattribute the failure: %+v", rep.MachineRows)
+			var partial *PartialError
+			if !errors.As(err, &partial) {
+				t.Fatalf("want *PartialError, got %v", err)
 			}
-
-			srep, serr := RunStream(StreamConfig{Config: base, Batch: 2})
-			if srep == nil {
-				t.Fatal("stream partial failure must still return the report")
+			if partial.Total != 1 || len(partial.Failures) != 1 {
+				t.Fatalf("partial %+v: want exactly one failure", partial)
 			}
-			check(t, srep.Aggregate, serr)
-			if !reflect.DeepEqual(srep.Aggregate, rep.Aggregate) {
-				t.Errorf("engines disagree under partial failure:\nstream %+v\nbatch  %+v", srep.Aggregate, rep.Aggregate)
+			f := partial.Failures[0]
+			if f.Index != 1 || f.Stage != stage || !strings.Contains(f.Cause, "injected") {
+				t.Fatalf("failure %+v: want index 1, stage %s", f, stage)
+			}
+			if f.Model == "" {
+				t.Fatal("failure does not name the machine model")
+			}
+			if rep.Aggregate.Errors != 1 {
+				t.Fatalf("aggregate errors %d, want 1", rep.Aggregate.Errors)
+			}
+			if rep.Aggregate.GuardChecks == 0 {
+				t.Fatal("healthy machines did not run")
+			}
+			for _, m := range rep.ModelRows {
+				want := 0
+				if m.Model == f.Model {
+					want = 1
+				}
+				if m.Errors != want {
+					t.Fatalf("model %s counts %d errors, want %d: rollup misattributes the failure", m.Model, m.Errors, want)
+				}
 			}
 		})
 	}
