@@ -43,7 +43,7 @@ bench:
 bench-json:
 	@n=0; while [ -e BENCH_$$n.json ]; do n=$$((n+1)); done; \
 	{ $(GO) test -bench 'Fig|Table1MailboxCodec|CharacterizeWorkers|GuardPollSteadyState|FleetThroughput|FleetStreaming|EnergyAccounting|FlightRecorder|BisectVsSweep|AnnealTimeToFault' \
-		-benchtime 300x -count 5 -run '^$$' -timeout 30m . ; \
+		-benchtime 300x -count 5 -run '^$$' -timeout 30m . ./internal/core ; \
 	  $(GO) test -bench . -benchtime 300x -count 5 -run '^$$' \
 		./internal/sim ./internal/timing ; } \
 		| $(GO) run ./cmd/plugvolt-bench -o BENCH_$$n.json

@@ -663,41 +663,6 @@ func BenchmarkFleetStreaming(b *testing.B) {
 	b.ReportMetric(float64(highWater)/(1<<20), "heap-high-water-MB")
 }
 
-// S6 — PR 6 probe economics: the bisect characterization strategy vs the
-// full sweep at the Fig. 2 resolution (identical grid, fewer measured
-// probes), reported as probes/op so plugvolt-bench can gate it.
-func BenchmarkBisectVsSweep(b *testing.B) {
-	s, err := models.ByName("skylake")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, strategy := range []string{core.StrategySweep, core.StrategyBisect} {
-		b.Run(strategy, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := core.DefaultCharacterizerConfig()
-				cfg.Strategy = strategy
-				cfg.Workers = 8
-				sc, err := core.NewShardedCharacterizer(s, 42, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				grid, err := sc.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(grid.UnsafeSet().OnsetMV) == 0 {
-					b.Fatal("no unsafe regions found")
-				}
-				stats := sc.Stats()
-				if stats.FallbackRows != 0 {
-					b.Fatalf("%d fallback rows", stats.FallbackRows)
-				}
-				b.ReportMetric(float64(stats.Probes), "probes/op")
-			}
-		})
-	}
-}
-
 // S6 — the red-team annealer's time to first fault on an undefended
 // machine: how many adaptive probes the attacker spends before landing a
 // fault, the attacker-side cost a defense must inflate.

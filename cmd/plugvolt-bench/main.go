@@ -39,6 +39,8 @@ import (
 // wants numbers without re-parsing.
 type Artifact struct {
 	// Context is the goos/goarch/pkg/cpu header lines keyed by field name.
+	// A multi-package run repeats the headers; Context keeps the last of
+	// each, and every Result records its own package in Pkg.
 	Context map[string]string `json:"context"`
 	// Benchmarks holds one entry per benchmark result line, in input order.
 	Benchmarks []Result `json:"benchmarks"`
@@ -48,7 +50,10 @@ type Artifact struct {
 
 // Result is one parsed benchmark line.
 type Result struct {
-	Name       string `json:"name"`
+	Name string `json:"name"`
+	// Pkg is the import path from the "pkg:" header the result ran under.
+	// Artifacts written before it existed load with it empty.
+	Pkg        string `json:"pkg,omitempty"`
 	Iterations int64  `json:"iterations"`
 	// Metrics maps unit to value, e.g. "ns/op": 845123.5, "allocs/op": 0.
 	Metrics map[string]float64 `json:"metrics"`
@@ -133,6 +138,7 @@ func parse(r io.Reader) (*Artifact, error) {
 			}
 		}
 		if res, ok := parseBenchLine(line); ok {
+			res.Pkg = art.Context["pkg"]
 			art.Benchmarks = append(art.Benchmarks, res)
 		}
 	}

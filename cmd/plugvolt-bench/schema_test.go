@@ -253,3 +253,53 @@ func TestCompareNamesArtifactLackingMetric(t *testing.T) {
 		t.Fatalf("swapped order does not name the lacking artifact: %v", err)
 	}
 }
+
+// TestParseAttributesEachPackage feeds the output of a two-package
+// `go test -bench` run: every result must carry the package it ran under,
+// not the last "pkg:" header of the whole stream.
+func TestParseAttributesEachPackage(t *testing.T) {
+	in := `goos: linux
+goarch: amd64
+pkg: plugvolt
+cpu: Test CPU
+BenchmarkAnnealTimeToFault-8   	       1	   2000 ns/op	  40.00 probes/op
+PASS
+ok  	plugvolt	0.1s
+goos: linux
+goarch: amd64
+pkg: plugvolt/internal/core
+cpu: Test CPU
+BenchmarkBisectVsSweep/sweep-8 	       1	   3000 ns/op	6089 probes/op
+BenchmarkBisectVsSweep/bisect-8	       1	   1000 ns/op	 284.0 probes/op
+PASS
+ok  	plugvolt/internal/core	0.1s
+`
+	art, err := parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"BenchmarkAnnealTimeToFault-8":    "plugvolt",
+		"BenchmarkBisectVsSweep/sweep-8":  "plugvolt/internal/core",
+		"BenchmarkBisectVsSweep/bisect-8": "plugvolt/internal/core",
+	}
+	if len(art.Benchmarks) != len(want) {
+		t.Fatalf("parsed %d results, want %d", len(art.Benchmarks), len(want))
+	}
+	for _, b := range art.Benchmarks {
+		if b.Pkg != want[b.Name] {
+			t.Errorf("%s: pkg %q, want %q", b.Name, b.Pkg, want[b.Name])
+		}
+	}
+	// Artifacts written before results carried a package still load.
+	dir := t.TempDir()
+	old := filepath.Join(dir, "old.json")
+	doc := `{"context":{"pkg":"plugvolt"},"benchmarks":[
+		{"name":"BenchmarkX","iterations":1,"metrics":{"ns/op":1}}],"raw":"x"}`
+	if err := os.WriteFile(old, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if a, err := load(old); err != nil || a.Benchmarks[0].Pkg != "" {
+		t.Fatalf("old artifact: %v, %+v", err, a)
+	}
+}

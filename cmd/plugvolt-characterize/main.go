@@ -39,7 +39,6 @@ func main() {
 		jsonPath = flag.String("json", "", "also write the grid as JSON to this path")
 		classes  = flag.Bool("classes", false, "compare fault onsets across instruction classes (imul/aes/fma)")
 		seeds    = flag.Int("seeds", 1, "run N seeds and report onset spread + conservative aggregate")
-		strategy = flag.String("strategy", core.StrategySweep, "full-grid probe strategy: sweep (measure every cell) or bisect (per-row onset bisection; identical grid, ~10x fewer probes)")
 		workers  = flag.Int("workers", 0, "frequency-row shards swept in parallel (0 = GOMAXPROCS); results are identical for any value")
 		metrics  = flag.String("metrics-out", "", `write the Prometheus metric exposition here after the sweep ("-" = stdout)`)
 		events   = flag.String("events-out", "", `write the JSONL event journal here after the sweep ("-" = stdout)`)
@@ -86,7 +85,6 @@ func main() {
 		cfg = plugvolt.PaperSweep()
 	}
 	cfg.Workers = *workers
-	cfg.Strategy = *strategy
 	if *classes {
 		runClassComparison(*cpuName, *seed, cfg)
 		return

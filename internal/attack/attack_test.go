@@ -36,7 +36,7 @@ func characterizeEnv(t *testing.T, env *defense.Env) *core.Grid {
 	cfg.OffsetStartMV = -5
 	cfg.OffsetStepMV = -5
 	cfg.OffsetEndMV = -350
-	ch, err := core.NewCharacterizer(env.Platform, cfg)
+	ch, err := core.NewShardedCharacterizer(env.Platform.Spec, env.Platform.Seed(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func TestMatrixRunsEveryCellOnFreshMachines(t *testing.T) {
 			cfg.OffsetStartMV = -5
 			cfg.OffsetStepMV = -5
 			cfg.OffsetEndMV = -350
-			ch, err := core.NewCharacterizer(env.Platform, cfg)
+			ch, err := core.NewShardedCharacterizer(env.Platform.Spec, env.Platform.Seed(), cfg)
 			if err != nil {
 				return nil, err
 			}

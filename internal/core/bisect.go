@@ -5,96 +5,34 @@ import (
 	"fmt"
 
 	"plugvolt/internal/cpu"
-	"plugvolt/internal/msr"
 	"plugvolt/internal/search"
-	"plugvolt/internal/sim"
 )
 
-// rowStats carries one row's search economics from a worker to the merge
-// loop (telemetry and SearchStats only — the grid never depends on it).
-type rowStats struct {
-	// probes counts measured sim probes spent on the row (bisect probes
-	// plus, on fallback, the full linear re-sweep).
-	probes int
-	// fallback reports that the bisect strategy abandoned the row to a
-	// verified linear sweep after a monotonicity check failed.
-	fallback bool
-}
-
-// SearchStats aggregates the probe economics of the most recent Run.
-type SearchStats struct {
-	// Strategy is the resolved sweep strategy ("sweep" or "bisect").
-	Strategy string
-	// Rows counts merged frequency rows; Probes counts measured sim probes
-	// across all of them (the sweep-vs-bisect comparison axis).
-	Rows, Probes int
-	// FallbackRows counts bisect rows that fell back to a linear sweep.
-	FallbackRows int
-	// OnsetRows counts rows with at least one non-Safe cell.
-	OnsetRows int
-}
-
-// Stats returns the probe economics of the most recent Run. Valid after
-// Run returns; zero before.
-func (sc *ShardedCharacterizer) Stats() SearchStats { return sc.stats }
-
-// strategy resolves the configured sweep strategy, defaulting to sweep.
-func (sc *ShardedCharacterizer) strategy() string {
-	if sc.cfg.Strategy == "" {
-		return StrategySweep
-	}
-	return sc.cfg.Strategy
-}
-
 // bisectRow characterizes one frequency row on a private platform stack
-// using the bisect strategy, falling back to a fresh linear sweep if any
+// by onset bisection, falling back to a fresh linear sweep if any
 // monotonicity check fails. The fallback rebuilds the row platform from
-// scratch (the half-probed one may hold partial mailbox state or a
-// crash), so its result is the sweep strategy's result by construction.
-func (sc *ShardedCharacterizer) bisectRow(row []Classification, freqKHz int, offs []int) (int, sim.Duration, rowStats, error) {
-	var st rowStats
-	p, err := sc.Factory(RowSeed(sc.seed, freqKHz))
-	if err != nil {
-		return 0, 0, st, err
+// scratch (the half-probed one may hold partial mailbox state or a crash),
+// so its result is the sweep's result by construction.
+func (sc *ShardedCharacterizer) bisectRow(row []Classification, freqKHz int, offs []int) rowResult {
+	r := sc.onRowPlatform(freqKHz, func(ch *characterizer) error {
+		return ch.bisectRowInto(row, freqKHz, offs)
+	})
+	if errors.Is(r.err, search.ErrNonMonotone) {
+		fb := sc.sweepRow(row, freqKHz, offs)
+		fb.probes += r.probes
+		fb.fallback = true
+		return fb
 	}
-	ch, err := NewCharacterizer(p, sc.cfg)
-	if err != nil {
-		return 0, 0, st, err
-	}
-	// Algorithm 2 lines 6-7: record the normal operating point.
-	origStatus, err := p.MSRFile(sc.cfg.VictimCore).Read(msr.IA32PerfStatus)
-	if err != nil {
-		return 0, 0, st, err
-	}
-	origRatio, _ := msr.DecodePerfStatus(origStatus)
-	origFreqKHz := msr.RatioToKHz(origRatio, p.Spec.BusMHz)
-
-	err = ch.bisectRowInto(row, freqKHz, offs)
-	if errors.Is(err, search.ErrNonMonotone) {
-		st.fallback = true
-		st.probes = ch.probes
-		reboots, virtual, st2, err2 := sc.sweepRow(row, freqKHz, offs)
-		st.probes += st2.probes
-		return reboots, virtual, st, err2
-	}
-	if err != nil {
-		return 0, 0, st, err
-	}
-	st.probes = ch.probes
-	// Lines 13-14: restore the stock operating point, as the sweep does.
-	if err := ch.restore(origFreqKHz); err != nil {
-		return 0, 0, st, err
-	}
-	return p.Reboots, sim.Duration(p.Sim.Now()), st, nil
+	return r
 }
 
 // bisectRowInto classifies one frequency row with O(log N) measured probes
 // instead of the sweep's O(N):
 //
 //  1. pin the row frequency through cpupower, exactly as the sweep does;
-//  2. predict every cell's batch upset probabilities analytically
-//     (cpu.Core.PredictProbabilities — no sim events) and require them to
-//     be non-decreasing with depth;
+//  2. predict each cell's batch upset probabilities analytically
+//     (cpu.Core.PredictProbabilities — no sim events) down to the first
+//     predicted crash cell, requiring them to be non-decreasing with depth;
 //  3. bisect for the measured fault onset inside the predicted non-crash
 //     prefix, cross-checking every measured probe against its predicted
 //     class;
@@ -111,7 +49,7 @@ func (sc *ShardedCharacterizer) bisectRow(row []Classification, freqKHz int, off
 // Interference is thereby detectable exactly at probed cells; between
 // probes the row's shape rests on the verified monotone model, which is
 // the contract that makes O(log N) possible at all.
-func (c *Characterizer) bisectRowInto(row []Classification, freqKHz int, offs []int) error {
+func (c *characterizer) bisectRowInto(row []Classification, freqKHz int, offs []int) error {
 	// Line 9: set core frequency through cpupower.
 	if err := c.cp.FrequencySet(c.cfg.VictimCore, freqKHz); err != nil {
 		return fmt.Errorf("core: cpupower at %d kHz: %w", freqKHz, err)
@@ -122,8 +60,14 @@ func (c *Characterizer) bisectRowInto(row []Classification, freqKHz int, offs []
 	}
 	core := c.P.Core(c.cfg.VictimCore)
 	uF, uC := c.probeU(freqKHz)
+	// Predict the row up to its first predicted Crash cell, predC: the fill
+	// reads no deeper, just as the sweep measures no deeper, and the
+	// monotone probabilities and fixed thresholds make the predicted row
+	// Safe* Fault* Crash* by construction.
 	pAnyF := make([]float64, n)
 	pAnyC := make([]float64, n)
+	predict := func(i int) Classification { return classifyCoupled(pAnyF[i], pAnyC[i], uF, uC) }
+	predC := n
 	for i, off := range offs {
 		pf, pc := core.PredictProbabilities(c.class(), off)
 		pAnyF[i] = cpu.BatchUpsetProbability(c.cfg.Iterations, pf)
@@ -132,12 +76,6 @@ func (c *Characterizer) bisectRowInto(row []Classification, freqKHz int, offs []
 			return fmt.Errorf("core: predicted upset probability regresses at %d mV: %w",
 				off, search.ErrNonMonotone)
 		}
-	}
-	predict := func(i int) Classification { return classifyCoupled(pAnyF[i], pAnyC[i], uF, uC) }
-	// First predicted Crash cell; the monotone probabilities and fixed
-	// thresholds make the predicted row Safe* Fault* Crash* by construction.
-	predC := n
-	for i := 0; i < n; i++ {
 		if predict(i) == Crash {
 			predC = i
 			break

@@ -13,15 +13,27 @@ import (
 	"plugvolt/internal/telemetry"
 )
 
-// runStrategy sweeps a model with the given strategy and worker count and
-// returns the grid JSON plus the engine's probe economics.
-func runStrategy(t *testing.T, model, strategy string, workers int, cfg CharacterizerConfig) ([]byte, SearchStats) {
+// searchCounts is what one run's search_* counters recorded.
+type searchCounts struct{ rows, probes, fallback, onset int }
+
+// sweepOracle characterizes with the linear sweep on every row: Algorithm 2
+// as written, the reference the engine must reproduce.
+func (sc *ShardedCharacterizer) sweepOracle() (*Grid, error) {
+	return sc.run(sc.sweepRow, StrategySweep)
+}
+
+// characterizeCounted runs sc (the engine, or with oracle set the sweep
+// oracle) into a fresh telemetry set and returns the grid JSON with the
+// search_* counters the run published.
+func characterizeCounted(t testing.TB, sc *ShardedCharacterizer, oracle bool) ([]byte, searchCounts) {
 	t.Helper()
-	c := cfg
-	c.Strategy = strategy
-	c.Workers = workers
-	sc := newShardedCharacterizer(t, model, 42, c)
-	g, err := sc.Run()
+	tel := telemetry.NewSet(func() sim.Time { return 0 }, 64, 1)
+	sc.cfg.Telemetry = tel
+	run, strategy := sc.Run, StrategyBisect
+	if oracle {
+		run, strategy = sc.sweepOracle, StrategySweep
+	}
+	g, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,34 +41,53 @@ func runStrategy(t *testing.T, model, strategy string, workers int, cfg Characte
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data, sc.Stats()
+	reg := tel.Registry()
+	lbl := telemetry.Labels{"strategy": strategy}
+	count := func(name string, lbl telemetry.Labels) int {
+		return int(reg.Counter(name, "", lbl).Value())
+	}
+	return data, searchCounts{
+		rows:     count("characterize_rows_total", nil),
+		probes:   count("search_probes_total", lbl),
+		fallback: count("search_fallback_rows_total", lbl),
+		onset:    count("search_onset_found", lbl),
+	}
 }
 
-// TestBisectMatchesSweepAllGoldenSpecs is the tentpole equivalence claim:
-// for every golden model spec and for 1/2/8 workers, the bisect strategy's
-// grid is byte-identical to the full sweep's, with zero fallback rows and
+// runEngine characterizes a model at seed 42 with the given worker count on
+// the engine, or with oracle set on the sweep oracle.
+func runEngine(t testing.TB, model string, oracle bool, workers int, cfg CharacterizerConfig) ([]byte, searchCounts) {
+	t.Helper()
+	c := cfg
+	c.Workers = workers
+	return characterizeCounted(t, newShardedCharacterizer(t, model, 42, c), oracle)
+}
+
+// TestBisectMatchesSweepAllGoldenSpecs is the engine's equivalence claim:
+// for every golden model spec and for 1/2/8 workers, the engine's grid is
+// byte-identical to the sweep oracle's, with zero fallback rows and
 // strictly fewer measured probes.
 func TestBisectMatchesSweepAllGoldenSpecs(t *testing.T) {
 	cfg := quickSweepConfig()
 	for _, model := range []string{"skylake", "kabylaker", "cometlake"} {
 		model := model
 		t.Run(model, func(t *testing.T) {
-			sweepJSON, sweepStats := runStrategy(t, model, StrategySweep, 1, cfg)
+			sweepJSON, sweep := runEngine(t, model, true, 1, cfg)
 			for _, workers := range []int{1, 2, 8} {
-				bisectJSON, bisectStats := runStrategy(t, model, StrategyBisect, workers, cfg)
+				bisectJSON, bisect := runEngine(t, model, false, workers, cfg)
 				if string(sweepJSON) != string(bisectJSON) {
 					t.Fatalf("workers=%d: bisect grid diverges from sweep", workers)
 				}
-				if bisectStats.FallbackRows != 0 {
-					t.Fatalf("workers=%d: %d unexpected fallback rows", workers, bisectStats.FallbackRows)
+				if bisect.fallback != 0 {
+					t.Fatalf("workers=%d: %d unexpected fallback rows", workers, bisect.fallback)
 				}
-				if bisectStats.Probes >= sweepStats.Probes {
+				if bisect.probes >= sweep.probes {
 					t.Fatalf("workers=%d: bisect spent %d probes, sweep %d",
-						workers, bisectStats.Probes, sweepStats.Probes)
+						workers, bisect.probes, sweep.probes)
 				}
 				if workers == 1 {
-					t.Logf("sweep %d probes, bisect %d (%.1fx fewer)", sweepStats.Probes,
-						bisectStats.Probes, float64(sweepStats.Probes)/float64(bisectStats.Probes))
+					t.Logf("sweep %d probes, bisect %d (%.1fx fewer)", sweep.probes,
+						bisect.probes, float64(sweep.probes)/float64(bisect.probes))
 				}
 			}
 		})
@@ -65,25 +96,24 @@ func TestBisectMatchesSweepAllGoldenSpecs(t *testing.T) {
 
 // TestBisectProbeSavingsPaperConfig asserts the acceptance bar on the
 // Fig. 2 configuration (paper-resolution offset axis, 1 mV steps): the
-// bisect strategy must spend at least 10x fewer measured sim probes than
-// the full sweep while producing the identical grid.
+// engine must spend at least 10x fewer measured sim probes than the sweep
+// oracle while producing the identical grid.
 func TestBisectProbeSavingsPaperConfig(t *testing.T) {
 	cfg := DefaultCharacterizerConfig()
-	sweepJSON, sweepStats := runStrategy(t, "skylake", StrategySweep, 8, cfg)
-	bisectJSON, bisectStats := runStrategy(t, "skylake", StrategyBisect, 8, cfg)
+	sweepJSON, sweep := runEngine(t, "skylake", true, 8, cfg)
+	bisectJSON, bisect := runEngine(t, "skylake", false, 8, cfg)
 	if string(sweepJSON) != string(bisectJSON) {
 		t.Fatal("bisect grid diverges from sweep on the Fig. 2 configuration")
 	}
-	if bisectStats.FallbackRows != 0 {
-		t.Fatalf("%d unexpected fallback rows", bisectStats.FallbackRows)
+	if bisect.fallback != 0 {
+		t.Fatalf("%d unexpected fallback rows", bisect.fallback)
 	}
-	if bisectStats.Probes*10 > sweepStats.Probes {
+	if bisect.probes*10 > sweep.probes {
 		t.Fatalf("bisect spent %d probes vs sweep %d: less than the required 10x saving",
-			bisectStats.Probes, sweepStats.Probes)
+			bisect.probes, sweep.probes)
 	}
 	t.Logf("sweep %d probes, bisect %d probes (%.1fx fewer)",
-		sweepStats.Probes, bisectStats.Probes,
-		float64(sweepStats.Probes)/float64(bisectStats.Probes))
+		sweep.probes, bisect.probes, float64(sweep.probes)/float64(bisect.probes))
 }
 
 // TestRowClassificationMonotone is the property bisection relies on: for
@@ -143,7 +173,7 @@ func FuzzRowMonotonicity(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ch, err := NewCharacterizer(p, cfg)
+		ch, err := newCharacterizer(p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,41 +203,51 @@ func FuzzRowMonotonicity(f *testing.F) {
 }
 
 // TestSearchTelemetryCounters asserts the probe-economics counters land in
-// the Prometheus exposition, labelled by strategy and agreeing with the
-// engine's own SearchStats.
+// the Prometheus exposition labelled by strategy, with the onset count
+// agreeing with the grid itself.
 func TestSearchTelemetryCounters(t *testing.T) {
 	cfg := quickSweepConfig()
-	cfg.Strategy = StrategyBisect
 	cfg.Workers = 2
 	tel := telemetry.NewSet(func() sim.Time { return 0 }, 64, 1)
 	cfg.Telemetry = tel
 	sc := newShardedCharacterizer(t, "skylake", 42, cfg)
-	if _, err := sc.Run(); err != nil {
+	g, err := sc.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	stats := sc.Stats()
+	onsetRows := 0
+	for _, row := range g.Cells {
+		if row[len(row)-1] != Safe {
+			onsetRows++
+		}
+	}
+	if onsetRows == 0 {
+		t.Fatal("no onset rows found on skylake")
+	}
+	probes := tel.Registry().Counter("search_probes_total", "",
+		telemetry.Labels{"strategy": StrategyBisect}).Value()
+	if probes <= 0 || probes >= float64(len(g.FreqsKHz)*len(g.OffsetsMV)) {
+		t.Fatalf("search_probes_total %v outside (0, cells)", probes)
+	}
 	var buf bytes.Buffer
 	if err := tel.Registry().Snapshot().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	exp := buf.String()
 	for _, want := range []string{
-		fmt.Sprintf(`search_probes_total{strategy="bisect"} %d`, stats.Probes),
-		fmt.Sprintf(`search_onset_found{strategy="bisect"} %d`, stats.OnsetRows),
-		fmt.Sprintf(`search_fallback_rows_total{strategy="bisect"} %d`, stats.FallbackRows),
+		fmt.Sprintf(`search_probes_total{strategy="bisect"} %d`, int(probes)),
+		fmt.Sprintf(`search_onset_found{strategy="bisect"} %d`, onsetRows),
+		`search_fallback_rows_total{strategy="bisect"} 0`,
 	} {
 		if !strings.Contains(exp, want) {
 			t.Errorf("exposition lacks %q", want)
 		}
 	}
-	if stats.OnsetRows == 0 {
-		t.Error("no onset rows found on skylake")
-	}
 }
 
 // hookedFactory wraps a platform factory so every built platform gets an
 // OC-mailbox write hook on the victim core that rewrites voltage-offset
-// commands per rewrite: interference the bisect strategy must detect.
+// commands per rewrite: interference bisection must detect.
 func hookedFactory(base cpu.PlatformFactory, victim int, rewrite func(offsetMV int) (int, bool)) cpu.PlatformFactory {
 	return func(seed int64) (*cpu.Platform, error) {
 		p, err := base(seed)
@@ -231,9 +271,9 @@ func hookedFactory(base cpu.PlatformFactory, victim int, rewrite func(offsetMV i
 
 // TestBisectFallbackOnBrokenMonotonicity breaks the measured-vs-predicted
 // contract with MSR write hooks that intercept mailbox commands, and
-// asserts (a) the bisect strategy detects the contradiction at a probed
-// cell and falls back to the linear scan, and (b) the fallback grid is
-// byte-identical to what the sweep strategy measures under the same hook.
+// asserts (a) the engine detects the contradiction at a probed cell and
+// falls back to the linear scan, and (b) the fallback grid is
+// byte-identical to what the sweep oracle measures under the same hook.
 // The hooks here interfere on bands that overlap the verified boundary
 // probes — the detection contract bisection actually offers (interference
 // confined to never-probed interior cells is invisible to any O(log N)
@@ -266,35 +306,49 @@ func TestBisectFallbackOnBrokenMonotonicity(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(strategy string) ([]byte, SearchStats) {
+			run := func(oracle bool) ([]byte, searchCounts) {
 				c := cfg
-				c.Strategy = strategy
 				c.Workers = 4
 				sc := newShardedCharacterizer(t, "skylake", 42, c)
 				sc.Factory = hookedFactory(sc.Factory, cfg.VictimCore, tc.rewrite)
-				g, err := sc.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				data, err := g.JSON()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return data, sc.Stats()
+				return characterizeCounted(t, sc, oracle)
 			}
-			sweepJSON, _ := runStrategy(t, "skylake", StrategySweep, 1, cfg)
-			hookedSweepJSON, _ := run(StrategySweep)
+			sweepJSON, _ := runEngine(t, "skylake", true, 1, cfg)
+			hookedSweepJSON, _ := run(true)
 			if string(sweepJSON) == string(hookedSweepJSON) {
 				t.Fatal("hook had no observable effect; the case proves nothing")
 			}
-			hookedBisectJSON, stats := run(StrategyBisect)
-			if stats.FallbackRows == 0 {
+			hookedBisectJSON, bisect := run(false)
+			if bisect.fallback == 0 {
 				t.Fatal("bisect never fell back despite broken monotonicity")
 			}
 			if string(hookedBisectJSON) != string(hookedSweepJSON) {
 				t.Fatal("fallback grid diverges from the hooked sweep grid")
 			}
-			t.Logf("%d/%d rows fell back", stats.FallbackRows, stats.Rows)
+			t.Logf("%d/%d rows fell back", bisect.fallback, bisect.rows)
+		})
+	}
+}
+
+// BenchmarkBisectVsSweep measures the engine against the sweep oracle at
+// the Fig. 2 resolution (identical grid, fewer measured probes), reported
+// as probes/op so plugvolt-bench can gate it.
+func BenchmarkBisectVsSweep(b *testing.B) {
+	for _, tc := range []struct {
+		name   string
+		oracle bool
+	}{{StrategySweep, true}, {StrategyBisect, false}} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_, n := runEngine(b, "skylake", tc.oracle, 8, DefaultCharacterizerConfig())
+				if n.onset == 0 {
+					b.Fatal("no unsafe regions found")
+				}
+				if n.fallback != 0 {
+					b.Fatalf("%d fallback rows", n.fallback)
+				}
+				b.ReportMetric(float64(n.probes), "probes/op")
+			}
 		})
 	}
 }

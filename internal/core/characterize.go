@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"plugvolt/internal/cpu"
+	"plugvolt/internal/models"
 	"plugvolt/internal/msr"
 	"plugvolt/internal/pstate"
 	"plugvolt/internal/rng"
@@ -31,35 +32,28 @@ type CharacterizerConfig struct {
 	// faulted"); sweeping other classes measures that claim — shallower
 	// classes must show deeper onsets.
 	Class cpu.Class
-	// Workers is the number of frequency-row shards swept concurrently by
-	// the sharded engine (ShardedCharacterizer). <=0 means runtime
-	// GOMAXPROCS. The serial Characterizer ignores it. Results are
-	// bit-for-bit independent of the worker count: every row derives its
-	// RNG stream from seed^freqKHz, not from sweep order.
+	// Workers is the number of frequency-row shards characterized
+	// concurrently. <=0 means runtime GOMAXPROCS. Results are bit-for-bit
+	// independent of the worker count: every row derives its RNG stream from
+	// seed^freqKHz, not from sweep order.
 	Workers int
-	// Strategy selects how the sharded engine explores each frequency row.
-	// StrategySweep (or "") measures every offset cell left to right;
-	// StrategyBisect predicts the row analytically, verifies the fault and
-	// crash onsets with O(log N) measured probes, and falls back to a full
-	// linear sweep on any row where a measured probe contradicts the
-	// prediction. Both strategies produce byte-identical grids. The serial
-	// Characterizer only implements StrategySweep.
-	Strategy string
 	// Progress, when set, is called after each frequency row completes.
-	// Under the sharded engine rows finish out of order: freqKHz names the
-	// row that just completed and rowsDone counts completions so far.
-	// Invocations are serialized; the callback never runs concurrently.
+	// Rows finish out of order: freqKHz names the row that just completed
+	// and rowsDone counts completions so far. Invocations are serialized;
+	// the callback never runs concurrently.
 	Progress func(freqKHz, rowsDone, rowsTotal int)
 	// Telemetry, when set, receives row/cell/reboot counters, per-worker
-	// utilization series, and a journal event per completed row from the
-	// sharded engine. All updates happen in the merge loop, so telemetry
-	// cannot perturb the grid or its worker-count invariance. Per-worker
+	// utilization series, and a journal event per completed row. All
+	// updates happen in the merge loop, so telemetry cannot perturb the grid
+	// or its worker-count invariance. Per-worker
 	// series reflect the Go scheduler's row assignment and therefore vary
 	// run to run; everything else is deterministic.
 	Telemetry *telemetry.Set
 }
 
-// Sweep strategies accepted by CharacterizerConfig.Strategy.
+// Values of the strategy label on the search_* counters. The engine's rows
+// count under StrategyBisect, fallback rows included; StrategySweep labels
+// the linear sweep that the tests use as the engine's oracle.
 const (
 	// StrategySweep measures every offset cell (Algorithm 2 as written).
 	StrategySweep = "sweep"
@@ -82,27 +76,27 @@ func DefaultCharacterizerConfig() CharacterizerConfig {
 	}
 }
 
-// Characterizer runs the two-thread characterization framework of Sec. 4.2
-// against a platform: the DVFS thread walks the (frequency, offset) grid
-// through cpupower and MSR 0x150, and the EXECUTE thread's imul loop
-// detects faults.
-type Characterizer struct {
+// characterizer is the row worker of the two-thread characterization
+// framework of Sec. 4.2 on one private row platform: the DVFS thread walks
+// one frequency row through cpupower and MSR 0x150, and the EXECUTE thread's
+// imul loop detects faults.
+type characterizer struct {
 	P   *cpu.Platform
 	cfg CharacterizerConfig
 	cp  *pstate.CPUPower
-	// probes counts measurePoint calls — the sweep-vs-bisect economics the
-	// sharded engine reports through SearchStats.
+	// probes counts measurePoint calls, which the search_probes_total
+	// counter reports.
 	probes int
 }
 
-// validateConfig checks a sweep config against a core count (shared by the
-// serial and sharded engines, which validate before any platform exists).
-func validateConfig(cfg CharacterizerConfig, numCores int) error {
+// validateConfig checks a config against the spec before any platform
+// exists.
+func validateConfig(cfg CharacterizerConfig, spec *models.Spec) error {
 	if cfg.VictimCore == cfg.DriverCore {
 		return errors.New("core: victim and driver must be distinct cores")
 	}
 	for _, c := range []int{cfg.VictimCore, cfg.DriverCore} {
-		if c < 0 || c >= numCores {
+		if c < 0 || c >= spec.Cores {
 			return fmt.Errorf("core: no core %d", c)
 		}
 	}
@@ -115,30 +109,22 @@ func validateConfig(cfg CharacterizerConfig, numCores int) error {
 	if cfg.OffsetStartMV >= 0 || cfg.OffsetEndMV > cfg.OffsetStartMV {
 		return fmt.Errorf("core: bad offset range %d..%d", cfg.OffsetStartMV, cfg.OffsetEndMV)
 	}
-	switch cfg.Strategy {
-	case "", StrategySweep, StrategyBisect:
-	default:
-		return fmt.Errorf("core: unknown sweep strategy %q", cfg.Strategy)
+	if _, ok := spec.Depths[string(cfg.Class)]; cfg.Class != "" && !ok {
+		return fmt.Errorf("core: %s has no timing path for instruction class %q", spec.Codename, cfg.Class)
 	}
 	return nil
 }
 
-// NewCharacterizer validates the config against the platform.
-func NewCharacterizer(p *cpu.Platform, cfg CharacterizerConfig) (*Characterizer, error) {
-	if p == nil {
-		return nil, errors.New("core: nil platform")
-	}
-	if err := validateConfig(cfg, p.NumCores()); err != nil {
-		return nil, err
-	}
+// newCharacterizer builds the row worker on a row platform.
+func newCharacterizer(p *cpu.Platform, cfg CharacterizerConfig) (*characterizer, error) {
 	mgr, err := pstate.NewManager(p.Sim, p, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Characterizer{P: p, cfg: cfg, cp: &pstate.CPUPower{M: mgr}}, nil
+	return &characterizer{P: p, cfg: cfg, cp: &pstate.CPUPower{M: mgr}}, nil
 }
 
-// offsetAxis materializes a sweep config's offset axis.
+// offsetAxis materializes a config's offset axis.
 func offsetAxis(cfg CharacterizerConfig) []int {
 	var out []int
 	for o := cfg.OffsetStartMV; o >= cfg.OffsetEndMV; o += cfg.OffsetStepMV {
@@ -147,65 +133,14 @@ func offsetAxis(cfg CharacterizerConfig) []int {
 	return out
 }
 
-// offsets materializes the sweep's offset axis.
-func (c *Characterizer) offsets() []int { return offsetAxis(c.cfg) }
-
-// Run executes Algorithm 2 and returns the characterization grid.
-func (c *Characterizer) Run() (*Grid, error) {
-	if c.cfg.Strategy == StrategyBisect {
-		return nil, errors.New("core: bisect strategy requires the sharded engine (ShardedCharacterizer)")
-	}
-	p := c.P
-	freqs := p.FreqTableKHz()
-	offs := c.offsets()
-	g := &Grid{
-		Model:      p.Spec.Codename,
-		Microcode:  p.Spec.Microcode,
-		Seed:       p.Seed(),
-		Iterations: c.cfg.Iterations,
-		FreqsKHz:   freqs,
-		OffsetsMV:  offs,
-		Cells:      make([][]Classification, len(freqs)),
-	}
-	// One contiguous slab backs every row: a single allocation for the whole
-	// grid, and better locality when the boundary extraction scans it.
-	cells := make([]Classification, len(freqs)*len(offs))
-	rebootsBefore := p.Reboots
-
-	// Algorithm 2 lines 6-7: record the normal operating point.
-	origStatus, err := p.MSRFile(c.cfg.VictimCore).Read(msr.IA32PerfStatus)
-	if err != nil {
-		return nil, err
-	}
-	origRatio, _ := msr.DecodePerfStatus(origStatus)
-	origFreqKHz := msr.RatioToKHz(origRatio, p.Spec.BusMHz)
-
-	for fi, freqKHz := range freqs {
-		row := cells[fi*len(offs) : (fi+1)*len(offs) : (fi+1)*len(offs)]
-		if err := c.sweepRowInto(row, freqKHz, offs); err != nil {
-			return nil, err
-		}
-		g.Cells[fi] = row
-		// Lines 13-14: restore normal frequency and voltage between rows.
-		if err := c.restore(origFreqKHz); err != nil {
-			return nil, err
-		}
-		if c.cfg.Progress != nil {
-			c.cfg.Progress(freqKHz, fi+1, len(freqs))
-		}
-	}
-	g.Reboots = p.Reboots - rebootsBefore
-	return g, nil
-}
-
 // sweepRowInto runs Algorithm 2's inner loop for one frequency, writing
-// into a caller-provided buffer (len(offs) cells) so the sweep engines can
+// into a caller-provided buffer (len(offs) cells) so the engine can
 // slab-allocate the whole grid up front: pin the row frequency through
 // cpupower, walk the offset axis until the first crash, and label
 // everything deeper Crash (Eq. 1 is monotone in V, so deeper offsets are at
 // least as bad). A crash reboots the platform and rebuilds the cpufreq
 // stack, as the paper's harness must.
-func (c *Characterizer) sweepRowInto(row []Classification, freqKHz int, offs []int) error {
+func (c *characterizer) sweepRowInto(row []Classification, freqKHz int, offs []int) error {
 	// Line 9: set core frequency through cpupower.
 	if err := c.cp.FrequencySet(c.cfg.VictimCore, freqKHz); err != nil {
 		return fmt.Errorf("core: cpupower at %d kHz: %w", freqKHz, err)
@@ -235,7 +170,7 @@ func (c *Characterizer) sweepRowInto(row []Classification, freqKHz int, offs []i
 
 // resetCPUPower rebuilds the cpufreq manager after a reboot (module state
 // does not survive the crash).
-func (c *Characterizer) resetCPUPower() {
+func (c *characterizer) resetCPUPower() {
 	mgr, err := pstate.NewManager(c.P.Sim, c.P, nil)
 	if err != nil {
 		panic(fmt.Sprintf("core: cpufreq rebuild: %v", err)) // table already validated
@@ -244,7 +179,7 @@ func (c *Characterizer) resetCPUPower() {
 }
 
 // class returns the configured EXECUTE-thread class, defaulted.
-func (c *Characterizer) class() cpu.Class {
+func (c *characterizer) class() cpu.Class {
 	if c.cfg.Class == "" {
 		return cpu.ClassIMul
 	}
@@ -260,11 +195,11 @@ func (c *Characterizer) class() cpu.Class {
 // monotone whenever the underlying probabilities are (u fixed, p
 // non-decreasing in depth), which is the invariant onset bisection needs.
 //
-// The seed mixes via a Gamma multiply rather than the sharded engine's
-// RowSeed XOR: sharded row platforms are already seeded seed^freqKHz, and
+// The seed mixes via a Gamma multiply rather than RowSeed's XOR: row
+// platforms are already seeded seed^freqKHz, and
 // XORing freqKHz in again would cancel back to the experiment seed and
 // couple all rows to each other.
-func (c *Characterizer) probeU(freqKHz int) (uFault, uCrash float64) {
+func (c *characterizer) probeU(freqKHz int) (uFault, uCrash float64) {
 	stream := rng.NewSeeded(rng.IndexSeed(c.P.Seed(), freqKHz))
 	uCrash = stream.Float64()
 	uFault = stream.Float64()
@@ -290,8 +225,8 @@ func classifyCoupled(pAnyFault, pAnyCrash, uFault, uCrash float64) Classificatio
 // probabilities — which reflect whatever actually reached the rail,
 // including MSR-hook or defense interference — so a cell's class is a
 // deterministic function of the realized operating point, identical no
-// matter which strategy or visit order reaches it.
-func (c *Characterizer) measurePoint(freqKHz, offsetMV int) (Classification, error) {
+// matter whether bisection or the sweep reaches it, or in what order.
+func (c *characterizer) measurePoint(freqKHz, offsetMV int) (Classification, error) {
 	p := c.P
 	// Line 10-11: compute the 0x150 value via Algorithm 1 and write it.
 	if err := p.WriteOffsetViaMSR(c.cfg.VictimCore, offsetMV, msr.PlaneCore); err != nil {
@@ -315,7 +250,7 @@ func (c *Characterizer) measurePoint(freqKHz, offsetMV int) (Classification, err
 
 // restore re-applies the original frequency and zero offset (Algorithm 2
 // lines 13-14).
-func (c *Characterizer) restore(origFreqKHz int) error {
+func (c *characterizer) restore(origFreqKHz int) error {
 	if err := c.cp.FrequencySet(c.cfg.VictimCore, origFreqKHz); err != nil {
 		return err
 	}

@@ -1,11 +1,12 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"plugvolt/internal/cpu"
 	"plugvolt/internal/models"
-	"plugvolt/internal/sim"
+	"plugvolt/internal/msr"
 )
 
 func newPlatform(t *testing.T, model string, seed int64) *cpu.Platform {
@@ -33,56 +34,68 @@ func quickSweepConfig() CharacterizerConfig {
 }
 
 func TestCharacterizerValidation(t *testing.T) {
-	p := newPlatform(t, "skylake", 1)
-	if _, err := NewCharacterizer(nil, DefaultCharacterizerConfig()); err == nil {
-		t.Fatal("nil platform accepted")
+	spec, err := models.ByName("skylake")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := validateConfig(DefaultCharacterizerConfig(), spec); err != nil {
+		t.Fatalf("default config rejected: %v", err)
 	}
 	bad := DefaultCharacterizerConfig()
 	bad.VictimCore = bad.DriverCore
-	if _, err := NewCharacterizer(p, bad); err == nil {
+	if validateConfig(bad, spec) == nil {
 		t.Fatal("same victim/driver accepted")
 	}
 	bad = DefaultCharacterizerConfig()
 	bad.VictimCore = 99
-	if _, err := NewCharacterizer(p, bad); err == nil {
+	if validateConfig(bad, spec) == nil {
 		t.Fatal("bogus victim core accepted")
 	}
 	bad = DefaultCharacterizerConfig()
 	bad.Iterations = 0
-	if _, err := NewCharacterizer(p, bad); err == nil {
+	if validateConfig(bad, spec) == nil {
 		t.Fatal("zero iterations accepted")
 	}
 	bad = DefaultCharacterizerConfig()
 	bad.OffsetStepMV = 1
-	if _, err := NewCharacterizer(p, bad); err == nil {
+	if validateConfig(bad, spec) == nil {
 		t.Fatal("positive step accepted")
 	}
 	bad = DefaultCharacterizerConfig()
 	bad.OffsetStartMV = 5
-	if _, err := NewCharacterizer(p, bad); err == nil {
+	if validateConfig(bad, spec) == nil {
 		t.Fatal("positive start accepted")
 	}
 	bad = DefaultCharacterizerConfig()
 	bad.OffsetEndMV = -1
 	bad.OffsetStartMV = -100
-	if _, err := NewCharacterizer(p, bad); err == nil {
+	if validateConfig(bad, spec) == nil {
 		t.Fatal("inverted range accepted")
+	}
+	// An unknown class must fail validation: Run would otherwise panic on
+	// the missing timing path inside a worker goroutine.
+	bad = DefaultCharacterizerConfig()
+	bad.Class = "bogus"
+	if validateConfig(bad, spec) == nil {
+		t.Fatal("unknown instruction class accepted")
 	}
 }
 
+// characterizeGrid runs the engine on a model at a seed.
+func characterizeGrid(t testing.TB, model string, seed int64, cfg CharacterizerConfig) *Grid {
+	t.Helper()
+	g, err := newShardedCharacterizer(t, model, seed, cfg).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestCharacterizationSweepSkyLake(t *testing.T) {
-	p := newPlatform(t, "skylake", 42)
 	var progressRows int
 	cfg := quickSweepConfig()
 	cfg.Progress = func(freqKHz, done, total int) { progressRows = done }
-	ch, err := NewCharacterizer(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := ch.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := characterizeGrid(t, "skylake", 42, cfg)
 	if err := g.Validate(); err != nil {
 		t.Fatalf("sweep produced invalid grid: %v", err)
 	}
@@ -148,18 +161,9 @@ func TestCharacterizationSweepSkyLake(t *testing.T) {
 
 func TestCharacterizationDeterministicReplay(t *testing.T) {
 	run := func() *Grid {
-		p := newPlatform(t, "skylake", 77)
 		cfg := quickSweepConfig()
 		cfg.OffsetEndMV = -200 // shorter for speed
-		ch, err := NewCharacterizer(p, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := ch.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
+		return characterizeGrid(t, "skylake", 77, cfg)
 	}
 	g1, g2 := run(), run()
 	for fi := range g1.Cells {
@@ -180,16 +184,7 @@ func TestCharacterizationAllThreeModels(t *testing.T) {
 	for _, model := range []string{"skylake", "kabylaker", "cometlake"} {
 		model := model
 		t.Run(model, func(t *testing.T) {
-			p := newPlatform(t, model, 7)
-			cfg := quickSweepConfig()
-			ch, err := NewCharacterizer(p, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g, err := ch.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
+			g := characterizeGrid(t, model, 7, quickSweepConfig())
 			if err := g.Validate(); err != nil {
 				t.Fatal(err)
 			}
@@ -206,44 +201,14 @@ func TestCharacterizationAllThreeModels(t *testing.T) {
 	}
 }
 
-func TestSweepLeavesPlatformRestored(t *testing.T) {
-	p := newPlatform(t, "skylake", 5)
-	cfg := quickSweepConfig()
-	cfg.OffsetEndMV = -150
-	ch, err := NewCharacterizer(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ch.Run(); err != nil {
-		t.Fatal(err)
-	}
-	p.Sim.RunFor(1 * sim.Millisecond)
-	p.SettleAll()
-	c := p.Core(cfg.VictimCore)
-	if c.OffsetMV() != 0 {
-		t.Fatalf("sweep left offset %d", c.OffsetMV())
-	}
-	if p.Crashed() {
-		t.Fatal("sweep left platform crashed")
-	}
-}
-
 func TestPerClassOnsetOrdering(t *testing.T) {
 	// Measured version of the paper's claim that imul is the most
 	// fault-prone instruction: sweeping the same machine with shallower
 	// instruction classes must find deeper (more negative) onsets.
 	onsetAt := func(class cpu.Class, freqKHz int) int {
-		p := newPlatform(t, "skylake", 61)
 		cfg := quickSweepConfig()
 		cfg.Class = class
-		ch, err := NewCharacterizer(p, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := ch.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := characterizeGrid(t, "skylake", 61, cfg)
 		onset, ok := g.OnsetMV(freqKHz)
 		if !ok {
 			t.Fatalf("class %s: no onset at %d kHz", class, freqKHz)
@@ -266,15 +231,105 @@ func TestDefaultClassIsIMul(t *testing.T) {
 		t.Fatalf("default EXECUTE class %q", cfg.Class)
 	}
 	// Empty class falls back to imul rather than failing.
-	p := newPlatform(t, "skylake", 62)
 	cfg = quickSweepConfig()
 	cfg.Class = ""
 	cfg.OffsetEndMV = -150
-	ch, err := NewCharacterizer(p, cfg)
-	if err != nil {
-		t.Fatal(err)
+	characterizeGrid(t, "skylake", 62, cfg)
+}
+
+// TestAnalyticClassifierMatchesExecutedBatches checks the shortcut the
+// engine rests on against the thing it stands for. The engine classifies a
+// cell from the predicted per-instruction probabilities lifted to batch
+// level; here Sky Lake cells whose batch upset probability lies in
+// [0.05, 0.95] are programmed for real, their live probabilities must equal
+// the prediction exactly, and executed EXECUTE-thread batches must crash,
+// and fault when they survive, at the predicted batch rates within a
+// binomial bound of |k - Np| <= 5*sqrt(Np(1-p)) + 1.
+func TestAnalyticClassifierMatchesExecutedBatches(t *testing.T) {
+	const (
+		victim  = 1
+		iters   = 200_000
+		batches = 400
+	)
+	p := newPlatform(t, "skylake", 2024)
+	c := p.Core(victim)
+	type cell struct {
+		ratio    uint8
+		offsetMV int
 	}
-	if _, err := ch.Run(); err != nil {
-		t.Fatal(err)
+	inBand := func(pAny float64) bool { return pAny >= 0.05 && pAny <= 0.95 }
+	// Per ratio, take the first cell in the fault band and the first in the
+	// crash band.
+	var cells []cell
+	for ratio := p.Spec.MinRatio; ratio <= p.Spec.MaxTurboRatio && len(cells) < 10; ratio += 3 {
+		if err := p.SetRatioViaMSR(victim, ratio); err != nil {
+			t.Fatal(err)
+		}
+		var gotFault, gotCrash bool
+		for off := -1; off >= -300; off-- {
+			pf, pc := c.PredictProbabilities(cpu.ClassIMul, off)
+			if !gotFault && inBand(cpu.BatchUpsetProbability(iters, pf)) {
+				gotFault = true
+				cells = append(cells, cell{ratio, off})
+			}
+			if !gotCrash && inBand(cpu.BatchUpsetProbability(iters, pc)) {
+				gotCrash = true
+				cells = append(cells, cell{ratio, off})
+			}
+		}
+	}
+	if len(cells) < 10 {
+		t.Fatalf("found %d cells in the [0.05, 0.95] band, want 10", len(cells))
+	}
+	program := func(x cell) {
+		t.Helper()
+		if err := p.SetRatioViaMSR(victim, x.ratio); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.WriteOffsetViaMSR(victim, x.offsetMV, msr.PlaneCore); err != nil {
+			t.Fatal(err)
+		}
+		p.SettleCommanded(victim)
+	}
+	within := func(k, n int, prob float64) bool {
+		np := float64(n) * prob
+		return math.Abs(float64(k)-np) <= 5*math.Sqrt(np*(1-prob))+1
+	}
+	for _, x := range cells {
+		program(x)
+		pf, pc := c.PredictProbabilities(cpu.ClassIMul, x.offsetMV)
+		if got := c.FaultProbability(cpu.ClassIMul); got != pf {
+			t.Fatalf("%+v: live fault probability %g, predicted %g", x, got, pf)
+		}
+		if got := c.CrashProbability(); got != pc {
+			t.Fatalf("%+v: live crash probability %g, predicted %g", x, got, pc)
+		}
+		pAnyF := cpu.BatchUpsetProbability(iters, pf)
+		pAnyC := cpu.BatchUpsetProbability(iters, pc)
+		crashes, survived, faulted := 0, 0, 0
+		for i := 0; i < batches; i++ {
+			res, err := c.RunBatch(cpu.ClassIMul, iters)
+			if res.Crashed {
+				crashes++
+				p.Reboot()
+				program(x)
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			survived++
+			if res.Faults > 0 {
+				faulted++
+			}
+		}
+		if !within(crashes, batches, pAnyC) {
+			t.Errorf("%+v: %d/%d batches crashed, predicted p=%.3f", x, crashes, batches, pAnyC)
+		}
+		if !within(faulted, survived, pAnyF) {
+			t.Errorf("%+v: %d/%d surviving batches faulted, predicted p=%.3f", x, faulted, survived, pAnyF)
+		}
+		t.Logf("%+v: crash %d/%d (p=%.3f), fault %d/%d (p=%.3f)",
+			x, crashes, batches, pAnyC, faulted, survived, pAnyF)
 	}
 }

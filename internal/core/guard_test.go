@@ -18,16 +18,7 @@ import (
 func guardRig(t *testing.T, seed int64) (*cpu.Platform, *kernel.Kernel, *Guard, *UnsafeSet) {
 	t.Helper()
 	p := newPlatform(t, "skylake", seed)
-	cfg := quickSweepConfig()
-	ch, err := NewCharacterizer(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := ch.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	unsafe := g.UnsafeSet()
+	unsafe := characterizeGrid(t, "skylake", seed, quickSweepConfig()).UnsafeSet()
 	k := kernel.New(p.Sim, p)
 	guard, err := NewGuard(unsafe, p.Spec.BusMHz, DefaultGuardConfig())
 	if err != nil {
@@ -225,14 +216,7 @@ func TestGuardSafeOffsetPreservesMaximalSafeUndervolt(t *testing.T) {
 	// Deploying the guard with SafeOffsetMV = maximal safe state keeps
 	// even the forced state undervolted (flexibility argument of Sec. 5).
 	p := newPlatform(t, "skylake", 25)
-	ch, err := NewCharacterizer(p, quickSweepConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid, err := ch.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	grid := characterizeGrid(t, "skylake", 25, quickSweepConfig())
 	msv := grid.MaximalSafeOffsetMV(5)
 	unsafe := grid.UnsafeSet()
 	cfg := DefaultGuardConfig()
@@ -523,14 +507,7 @@ func TestGuardPollZeroAlloc(t *testing.T) {
 
 	t.Run("tracing-on", func(t *testing.T) {
 		p := newPlatform(t, "skylake", 33)
-		ch, err := NewCharacterizer(p, quickSweepConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		grid, err := ch.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
+		grid := characterizeGrid(t, "skylake", 33, quickSweepConfig())
 		k := kernel.New(p.Sim, p)
 		tel := &telemetry.Set{
 			Reg:     telemetry.NewRegistry(p.Sim.Now),

@@ -23,7 +23,7 @@ func RowSeed(seed int64, freqKHz int) int64 { return seed ^ int64(freqKHz) }
 
 // ShardedCharacterizer runs Algorithm 2 with the frequency axis partitioned
 // across N workers. Frequency rows are independent by construction (each
-// row starts from offset 0 and stops at its own crash onset), so the sweep
+// row starts from offset 0 and stops at its own crash onset), so the grid
 // is embarrassingly parallel; the engine preserves determinism by giving
 // every row a private platform stack (simulator, cores, MSR files, PLLs,
 // regulators, cpufreq) built from RowSeed and by merging finished rows by
@@ -38,17 +38,14 @@ type ShardedCharacterizer struct {
 	spec *models.Spec
 	seed int64
 	cfg  CharacterizerConfig
-	// stats holds the most recent Run's probe economics, written only by
-	// the merge loop (see Stats).
-	stats SearchStats
 }
 
-// NewShardedCharacterizer validates the sweep config against the spec.
+// NewShardedCharacterizer validates the config against the spec.
 func NewShardedCharacterizer(spec *models.Spec, seed int64, cfg CharacterizerConfig) (*ShardedCharacterizer, error) {
 	if spec == nil {
 		return nil, errors.New("core: nil spec")
 	}
-	if err := validateConfig(cfg, spec.Cores); err != nil {
+	if err := validateConfig(cfg, spec); err != nil {
 		return nil, err
 	}
 	return &ShardedCharacterizer{
@@ -79,19 +76,30 @@ type rowResult struct {
 	row     []Classification
 	reboots int
 	err     error
-	// worker identifies the goroutine that swept the row; virtual is the
-	// row platform's elapsed virtual time; stats carries the row's search
-	// economics. All three feed telemetry only — the merged grid never
-	// depends on them.
-	worker  int
-	virtual sim.Duration
-	stats   rowStats
+	// worker identifies the goroutine that classified the row; virtual is
+	// the row platform's elapsed virtual time; probes counts the measured
+	// sim probes spent on the row, and fallback reports that bisection
+	// handed the row to a verified linear sweep. These feed telemetry only
+	// — the merged grid never depends on them.
+	worker   int
+	virtual  sim.Duration
+	probes   int
+	fallback bool
 }
 
-// Run executes the sharded sweep and returns the merged grid. The result is
-// byte-identical across worker counts and schedules for a given (spec, seed,
-// config); see RowSeed for why.
+// Run characterizes the grid: every row is located by onset bisection with
+// its verified fallback to a linear sweep (see bisectRow). The result is
+// byte-identical across worker counts and schedules for a given (spec,
+// seed, config); see RowSeed for why.
 func (sc *ShardedCharacterizer) Run() (*Grid, error) {
+	return sc.run(sc.bisectRow, StrategyBisect)
+}
+
+// run classifies every frequency row into its len(offs)-cell window with
+// classifyRow on the worker pool, fills in each result's fi, row and
+// worker, and merges the rows by frequency index. strategy labels the
+// search_* counters.
+func (sc *ShardedCharacterizer) run(classifyRow func(row []Classification, freqKHz int, offs []int) rowResult, strategy string) (*Grid, error) {
 	freqs := sc.spec.FreqTableKHz()
 	offs := offsetAxis(sc.cfg)
 	g := &Grid{
@@ -119,19 +127,9 @@ func (sc *ShardedCharacterizer) Run() (*Grid, error) {
 			defer wg.Done()
 			for fi := range jobs {
 				row := cells[fi*len(offs) : (fi+1)*len(offs) : (fi+1)*len(offs)]
-				var (
-					reboots int
-					virtual sim.Duration
-					st      rowStats
-					err     error
-				)
-				if sc.cfg.Strategy == StrategyBisect {
-					reboots, virtual, st, err = sc.bisectRow(row, freqs[fi], offs)
-				} else {
-					reboots, virtual, st, err = sc.sweepRow(row, freqs[fi], offs)
-				}
-				results <- rowResult{fi: fi, row: row, reboots: reboots,
-					err: err, worker: w, virtual: virtual, stats: st}
+				r := classifyRow(row, freqs[fi], offs)
+				r.fi, r.row, r.worker = fi, row, w
+				results <- r
 			}
 		}(w)
 	}
@@ -150,8 +148,7 @@ func (sc *ShardedCharacterizer) Run() (*Grid, error) {
 	// and telemetry updates are serialized here: rows may finish out of
 	// order, but callbacks never run concurrently and rowsDone counts
 	// completions monotonically.
-	obs := newSweepObserver(sc.cfg.Telemetry, workers, sc.strategy())
-	sc.stats = SearchStats{Strategy: sc.strategy()}
+	obs := newSweepObserver(sc.cfg.Telemetry, workers, strategy)
 	var firstErr error
 	done := 0
 	for r := range results {
@@ -164,14 +161,6 @@ func (sc *ShardedCharacterizer) Run() (*Grid, error) {
 		mergeRow(g, r)
 		done++
 		obs.row(freqs[r.fi], r)
-		sc.stats.Rows++
-		sc.stats.Probes += r.stats.probes
-		if r.stats.fallback {
-			sc.stats.FallbackRows++
-		}
-		if rowHasOnset(r.row) {
-			sc.stats.OnsetRows++
-		}
 		if sc.cfg.Progress != nil {
 			sc.cfg.Progress(freqs[r.fi], done, len(freqs))
 		}
@@ -260,11 +249,11 @@ func (o *sweepObserver) row(freqKHz int, r rowResult) {
 	}
 	o.rowsC.Inc()
 	o.rebootC.Add(float64(r.reboots))
-	o.probesC.Add(float64(r.stats.probes))
+	o.probesC.Add(float64(r.probes))
 	if perClass[Fault]+perClass[Crash] > 0 {
 		o.onsetC.Inc()
 	}
-	if r.stats.fallback {
+	if r.fallback {
 		o.fallbackC.Inc()
 	}
 	for cls, n := range perClass {
@@ -301,16 +290,6 @@ func (o *sweepObserver) finish() {
 	}
 }
 
-// rowHasOnset reports whether a row contains any non-Safe cell.
-func rowHasOnset(row []Classification) bool {
-	for _, c := range row {
-		if c != Safe {
-			return true
-		}
-	}
-	return false
-}
-
 // mergeRow lands one finished row in the grid. Placement is by frequency
 // index and the reboot count is a sum, so the merged grid is independent of
 // arrival order.
@@ -319,38 +298,42 @@ func mergeRow(g *Grid, r rowResult) {
 	g.Reboots += r.reboots
 }
 
-// sweepRow characterizes one frequency on a private platform stack: build
-// the machine from the row seed, record the stock operating point, run the
-// serial engine's row sweep into the caller's row buffer, and restore —
-// exactly the per-row protocol of Characterizer.Run, minus the cross-row
-// state.
-func (sc *ShardedCharacterizer) sweepRow(row []Classification, freqKHz int, offs []int) (int, sim.Duration, rowStats, error) {
-	var st rowStats
+// onRowPlatform runs classify under Algorithm 2's per-row protocol on a
+// private platform stack: build the machine from the row seed, record the
+// stock operating point, classify the row, and restore the stock frequency
+// and zero offset. The platform is discarded afterwards, but the restore
+// keeps the row protocol Algorithm 2's, and the reported virtual time
+// includes it.
+func (sc *ShardedCharacterizer) onRowPlatform(freqKHz int, classify func(*characterizer) error) rowResult {
 	p, err := sc.Factory(RowSeed(sc.seed, freqKHz))
 	if err != nil {
-		return 0, 0, st, err
+		return rowResult{err: err}
 	}
-	ch, err := NewCharacterizer(p, sc.cfg)
+	ch, err := newCharacterizer(p, sc.cfg)
 	if err != nil {
-		return 0, 0, st, err
+		return rowResult{err: err}
 	}
 	// Algorithm 2 lines 6-7: record the normal operating point.
 	origStatus, err := p.MSRFile(sc.cfg.VictimCore).Read(msr.IA32PerfStatus)
 	if err != nil {
-		return 0, 0, st, err
+		return rowResult{err: err}
 	}
 	origRatio, _ := msr.DecodePerfStatus(origStatus)
-	origFreqKHz := msr.RatioToKHz(origRatio, p.Spec.BusMHz)
+	if err := classify(ch); err != nil {
+		return rowResult{probes: ch.probes, err: err}
+	}
+	// Lines 13-14: restore the stock frequency and zero offset.
+	if err := ch.restore(msr.RatioToKHz(origRatio, p.Spec.BusMHz)); err != nil {
+		return rowResult{err: err}
+	}
+	return rowResult{reboots: p.Reboots, virtual: sim.Duration(p.Sim.Now()), probes: ch.probes}
+}
 
-	if err := ch.sweepRowInto(row, freqKHz, offs); err != nil {
-		return 0, 0, st, err
-	}
-	st.probes = ch.probes
-	// Lines 13-14: restore the stock frequency and zero offset. The platform
-	// is discarded afterwards, but the restore keeps the row's protocol
-	// identical to the serial engine's.
-	if err := ch.restore(origFreqKHz); err != nil {
-		return 0, 0, st, err
-	}
-	return p.Reboots, sim.Duration(p.Sim.Now()), st, nil
+// sweepRow characterizes one frequency by measuring every cell up to the
+// first crash: Algorithm 2 as written. It is bisection's fallback and the
+// engine's test oracle.
+func (sc *ShardedCharacterizer) sweepRow(row []Classification, freqKHz int, offs []int) rowResult {
+	return sc.onRowPlatform(freqKHz, func(ch *characterizer) error {
+		return ch.sweepRowInto(row, freqKHz, offs)
+	})
 }

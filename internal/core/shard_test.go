@@ -10,7 +10,7 @@ import (
 	"plugvolt/internal/models"
 )
 
-func newShardedCharacterizer(t *testing.T, model string, seed int64, cfg CharacterizerConfig) *ShardedCharacterizer {
+func newShardedCharacterizer(t testing.TB, model string, seed int64, cfg CharacterizerConfig) *ShardedCharacterizer {
 	t.Helper()
 	spec, err := models.ByName(model)
 	if err != nil {

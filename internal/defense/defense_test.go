@@ -40,7 +40,7 @@ func characterize(t *testing.T, env *Env) (*core.UnsafeSet, *core.Grid) {
 	cfg.OffsetStartMV = -5
 	cfg.OffsetStepMV = -5
 	cfg.OffsetEndMV = -350
-	ch, err := core.NewCharacterizer(env.Platform, cfg)
+	ch, err := core.NewShardedCharacterizer(env.Platform.Spec, env.Platform.Seed(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,7 +144,7 @@ func table2Rig(t *testing.T) (*Harness, func(bool) error, *core.Guard) {
 	cfg.OffsetStartMV = -5
 	cfg.OffsetStepMV = -5
 	cfg.OffsetEndMV = -350
-	ch, err := core.NewCharacterizer(p, cfg)
+	ch, err := core.NewShardedCharacterizer(spec, p.Seed(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,7 +144,7 @@ func TestGuardedAttackHasZeroUnsafeRailDwell(t *testing.T) {
 	cfg.OffsetStartMV = -5
 	cfg.OffsetStepMV = -5
 	cfg.OffsetEndMV = -350
-	ch, err := core.NewCharacterizer(p, cfg)
+	ch, err := core.NewShardedCharacterizer(p.Spec, p.Seed(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,10 @@ func TestUnguardedAttackHasNonzeroUnsafeRailDwell(t *testing.T) {
 	cfg.OffsetStartMV = -5
 	cfg.OffsetStepMV = -5
 	cfg.OffsetEndMV = -350
-	ch, _ := core.NewCharacterizer(p, cfg)
+	ch, err := core.NewShardedCharacterizer(p.Spec, p.Seed(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	grid, err := ch.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -251,12 +251,13 @@ func QuickSweep() CharacterizerConfig {
 	return cfg
 }
 
-// Characterize runs the Algorithm 2 sweep on this system using the sharded
-// parallel engine: the frequency axis is partitioned across cfg.Workers
-// goroutines (default GOMAXPROCS), each row swept on a private platform
-// seeded with seed^freqKHz. Results are bit-for-bit identical for any
-// worker count and leave s.Platform untouched. core.NewCharacterizer
-// remains available for the serial, shared-platform protocol.
+// Characterize runs the Algorithm 2 characterization of this system's model
+// and seed: the frequency axis is partitioned across cfg.Workers goroutines
+// (default GOMAXPROCS), and each row is located by onset bisection, with a
+// verified linear-sweep fallback, on a private platform seeded with
+// seed^freqKHz. Results are bit-for-bit identical for any worker count.
+// s.Platform is left untouched: its virtual time, reboot count, commanded
+// operating point and MSRs are as before the call.
 func (s *System) Characterize(cfg CharacterizerConfig) (*Grid, error) {
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = s.Telemetry

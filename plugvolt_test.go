@@ -6,6 +6,7 @@ import (
 
 	"plugvolt"
 	"plugvolt/internal/core"
+	"plugvolt/internal/msr"
 	"plugvolt/internal/sim"
 )
 
@@ -128,6 +129,63 @@ func TestCharacterizeInvalidConfig(t *testing.T) {
 	}
 	var sentinel error
 	_ = errors.Is(err, sentinel) // document: errors are plain, not typed
+}
+
+// TestCharacterizeLeavesPlatformUntouched pins Characterize's documented
+// contract: every row runs on a private platform, so the system's own
+// machine keeps its virtual time, reboot count, commanded operating point
+// and MSR 0x150 — even when the grid crosses crash cells.
+func TestCharacterizeLeavesPlatformUntouched(t *testing.T) {
+	sys, err := plugvolt.NewSystem("skylake", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := sys.Platform
+	// Move off the stock point first, so a restore-to-stock would show.
+	const victim = 1
+	if err := p.SetRatioViaMSR(victim, 20); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WriteOffsetViaMSR(victim, -30, msr.PlaneCore); err != nil {
+		t.Fatal(err)
+	}
+	p.SettleAll()
+	type state struct {
+		now     sim.Time
+		reboots int
+		ghz     []float64
+		mailbox []uint64
+	}
+	snapshot := func() state {
+		st := state{now: p.Sim.Now(), reboots: p.Reboots}
+		for i, c := range p.Cores() {
+			st.ghz = append(st.ghz, c.CommandedGHz())
+			st.mailbox = append(st.mailbox, p.MSRFile(i).Peek(msr.OCMailbox))
+		}
+		return st
+	}
+	before := snapshot()
+	if before.mailbox[victim] == 0 {
+		t.Fatal("set-up left MSR 0x150 clear; the case proves nothing")
+	}
+	g, err := sys.Characterize(plugvolt.QuickSweep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Reboots == 0 {
+		t.Fatal("grid crossed no crash cells; the case proves nothing")
+	}
+	after := snapshot()
+	if after.now != before.now || after.reboots != before.reboots {
+		t.Fatalf("platform clock/reboots moved: %v/%d -> %v/%d",
+			before.now, before.reboots, after.now, after.reboots)
+	}
+	for i := range before.ghz {
+		if after.ghz[i] != before.ghz[i] || after.mailbox[i] != before.mailbox[i] {
+			t.Fatalf("core %d: commanded %.2f GHz / 0x150 %#x -> %.2f GHz / %#x", i,
+				before.ghz[i], before.mailbox[i], after.ghz[i], after.mailbox[i])
+		}
+	}
 }
 
 func TestAttestationCarriesHTStatus(t *testing.T) {
