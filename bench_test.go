@@ -442,12 +442,6 @@ func BenchmarkGuardPollSteadyState(b *testing.B) {
 	pollSteadyState := func(b *testing.B, tracing, flightOn bool) {
 		sys, grid := characterize(b, "skylake", 42)
 		cfg := core.DefaultGuardConfig()
-		if flightOn {
-			// Recorder riding the hot path: the <5% regression budget on
-			// this sub-bench vs poll-telemetry-off is the flight recorder's
-			// performance contract.
-			cfg.Flight = sys.AttachFlightRecorder(0, 0)
-		}
 		if tracing {
 			tel := &telemetry.Set{
 				Reg:     telemetry.NewRegistry(sys.Platform.Sim.Now),
@@ -458,6 +452,13 @@ func BenchmarkGuardPollSteadyState(b *testing.B) {
 			cfg.Telemetry = tel
 		} else {
 			sys.SetTelemetry(&telemetry.Set{})
+		}
+		if flightOn {
+			// Recorder riding the hot path: the <5% regression budget on
+			// this sub-bench vs poll-telemetry-off is the flight recorder's
+			// performance contract. It rides in an otherwise empty set.
+			sys.AttachFlightRecorder(0, 0)
+			cfg.Telemetry = sys.Telemetry
 		}
 		guard, err := core.NewGuard(grid.UnsafeSet(), sys.Platform.Spec.BusMHz, cfg)
 		if err != nil {

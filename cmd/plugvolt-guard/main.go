@@ -99,7 +99,6 @@ func main() {
 			Collect:   sys.CollectTelemetry,
 			Clock:     func() sim.Time { return sys.Platform.Sim.Now() },
 			Energy:    func() *obs.EnergyHealth { return energyHealth(sys) },
-			Flight:    frec,
 			Lock:      &mu,
 		}
 		httpSrv, addr, err := srv.Start(*listen)
@@ -137,8 +136,7 @@ func main() {
 	// unsafe boundary at the core's current frequency.
 	p := sys.Platform
 	watchdog := &slo.Watchdog{
-		Tracer:  sys.Telemetry.Spans(),
-		Journal: sys.Telemetry.Events(),
+		Telemetry: sys.Telemetry,
 		Rules: append(slo.DefaultRules(cfg.PollPeriod),
 			// Guard energy budget: the kernel-attributed guard power per core
 			// must average under 250 mW — the energy face of the paper's

@@ -14,6 +14,8 @@ import (
 	"plugvolt/internal/attack"
 	"plugvolt/internal/defense"
 	"plugvolt/internal/flight"
+	"plugvolt/internal/msr"
+	"plugvolt/internal/telemetry"
 )
 
 // captureUnderAttack boots a fresh undefended system, rides a flight
@@ -123,5 +125,46 @@ func TestFlightBundleByteIdenticalAcrossRuns(t *testing.T) {
 	}
 	if bytes.Equal(first, other) {
 		t.Fatal("different seeds produced identical incident files; capture is not recording the experiment")
+	}
+}
+
+// TestSharedSetKeepsRecordersPerSystem is the shared-set contract: a
+// telemetry set shared across systems (plugvolt-attack runs every
+// combination on one) carries the recorder of the system last wired onto it,
+// so a faulting campaign on a system without a recorder never lands records
+// or incident bundles in another system's recorder.
+func TestSharedSetKeepsRecordersPerSystem(t *testing.T) {
+	a, err := plugvolt.NewSystem("skylake", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := telemetry.NewSet(a.Platform.Sim.Now, telemetry.DefaultJournalCap, 42)
+	a.SetTelemetry(shared)
+	recA := a.AttachFlightRecorder(0, 16)
+	if err := a.Platform.WriteOffsetViaMSR(0, -20, msr.PlaneCore); err != nil {
+		t.Fatal(err)
+	}
+	before := recA.Stats()
+	if before.Records == 0 {
+		t.Fatal("system A's recorder saw nothing")
+	}
+
+	b, err := plugvolt.NewSystem("skylake", 43)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.SetTelemetry(shared)
+	if shared.Recorder() != nil {
+		t.Fatal("shared set still carries system A's recorder after wiring system B")
+	}
+	res, err := atkRun(t, b, 43, defense.None{}.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FaultsObserved == 0 {
+		t.Fatal("undefended campaign on B must fault to exercise the trigger path")
+	}
+	if after := recA.Stats(); after != before {
+		t.Fatalf("running system B changed system A's recorder: %+v -> %+v", before, after)
 	}
 }

@@ -43,11 +43,7 @@ type campaignTel struct {
 	spans   *span.Tracer
 	// campaign is the open span covering the whole Run; attack steps parent
 	// under it in the causal trace.
-	campaign *span.Active
-	// flight is the env's flight recorder (nil disables capture): every
-	// observed fault and crash both records into the ring and fires an
-	// incident trigger, freezing the pre-fault state into a bundle.
-	flight     *flight.Recorder
+	campaign   *span.Active
 	victimCore int
 }
 
@@ -61,7 +57,6 @@ func newCampaignTel(env *defense.Env, attackName, defName string, victimCore int
 		faults:     reg.Counter("attack_faults_total", "corrupted victim results observed by the campaign", lbl),
 		crashes:    reg.Counter("attack_crashes_total", "machine crashes caused by the campaign", lbl),
 		spans:      env.Telemetry.Spans(),
-		flight:     env.Flight,
 		victimCore: victimCore,
 	}
 	if t.spans != nil {
@@ -90,9 +85,9 @@ func (t *campaignTel) fault(r *Result, n, offsetMV int) {
 		"attack": r.Attack, "defense": r.Defense, "faults": n,
 		"offset_mv": offsetMV, "attempts": r.Attempts,
 	})
-	if t.flight != nil {
-		t.flight.Fault(t.victimCore, n, offsetMV)
-		t.flight.Trigger(flight.CauseFault, t.victimCore,
+	if rec := t.set.Recorder(); rec != nil {
+		rec.Fault(t.victimCore, n, offsetMV)
+		rec.Trigger(flight.CauseFault, t.victimCore,
 			fmt.Sprintf("attack=%s defense=%s offset_mv=%d faults=%d", r.Attack, r.Defense, offsetMV, n))
 	}
 }
@@ -104,9 +99,9 @@ func (t *campaignTel) crash(r *Result, offsetMV int) {
 		"attack": r.Attack, "defense": r.Defense,
 		"offset_mv": offsetMV, "attempts": r.Attempts,
 	})
-	if t.flight != nil {
-		t.flight.Crash(t.victimCore, offsetMV)
-		t.flight.Trigger(flight.CauseCrash, t.victimCore,
+	if rec := t.set.Recorder(); rec != nil {
+		rec.Crash(t.victimCore, offsetMV)
+		rec.Trigger(flight.CauseCrash, t.victimCore,
 			fmt.Sprintf("attack=%s defense=%s offset_mv=%d", r.Attack, r.Defense, offsetMV))
 	}
 }

@@ -20,7 +20,7 @@ func instrumentedEnv(t *testing.T, model string, seed int64) (*defense.Env, *fli
 	env := newEnv(t, model, seed)
 	env.Telemetry = telemetry.NewSet(env.Platform.Sim.Now, 4096, seed)
 	rec := flight.NewRecorder(env.Platform.Sim.Now, 4096, 64, model, seed)
-	env.Flight = rec
+	env.Telemetry.Rec = rec
 	return env, rec
 }
 

@@ -65,17 +65,14 @@ type GuardConfig struct {
 
 	// Telemetry, when set, receives per-core poll/intervention/anomaly
 	// counters, the poll-latency histogram, and journal events for every
-	// intervention and anomaly. Nil disables instrumentation; the guard's
+	// intervention and anomaly. Its flight recorder, when set, receives one
+	// compact record per poll and per intervention, and is handed the
+	// compiled unsafe-set view so incident bundles carry the exact boundary
+	// the guard was enforcing; the per-poll record stays on the
+	// allocation-free hot path. Nil disables instrumentation; the guard's
 	// behaviour is identical either way (observing never charges time or
 	// draws randomness).
 	Telemetry *telemetry.Set
-
-	// Flight, when set, receives one compact record per poll and per
-	// intervention, and is handed the compiled unsafe-set view so incident
-	// bundles carry the exact boundary the guard was enforcing. Like
-	// Telemetry, attaching it never changes guard behaviour, and the
-	// per-poll record stays on the allocation-free hot path.
-	Flight *flight.Recorder
 }
 
 // DefaultGuardConfig polls every 100 us and restores stock voltage.
@@ -138,9 +135,6 @@ type Guard struct {
 	// by reference (never mutated after construction) so tracing a poll does
 	// not allocate.
 	pollAttrs []map[string]any
-	// flight is the flight recorder (nil disables it); its per-poll record
-	// is a fixed-size ring store, keeping the hot path allocation-free.
-	flight *flight.Recorder
 }
 
 // pollLatencyBuckets bound the per-core poll cost histogram in seconds. A
@@ -186,11 +180,11 @@ func NewGuard(unsafe *UnsafeSet, busMHz int, cfg GuardConfig) (*Guard, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Flight != nil {
-		cfg.Flight.SetGuardView(guardView(lut, cfg))
+	if rec := cfg.Telemetry.Recorder(); rec != nil {
+		rec.SetGuardView(guardView(lut, cfg))
 	}
 	return &Guard{cfg: cfg, unsafe: unsafe, busMHz: busMHz, lut: lut,
-		flight: cfg.Flight, deficitRuns: map[int]int{}}, nil
+		deficitRuns: map[int]int{}}, nil
 }
 
 // guardView freezes the compiled decision table into the flight recorder's
@@ -369,7 +363,7 @@ func (g *Guard) pollOne(t *kernel.KThread, core int) {
 	// Membership with the conservative margin pre-folded in: a state within
 	// MarginMV of the measured boundary is treated as unsafe.
 	unsafe := g.lut.Unsafe(ratio, offsetMV)
-	g.flight.GuardPoll(core, ratio, offsetMV, unsafe)
+	g.cfg.Telemetry.Recorder().GuardPoll(core, ratio, offsetMV, unsafe)
 	if unsafe {
 		g.intervene(t, core, ratio, offsetMV)
 	}
@@ -408,7 +402,7 @@ func (g *Guard) intervene(t *kernel.KThread, core int, ratio uint8, offsetMV int
 	isp.SetAttr("ok", err == nil)
 	isp.SetAttr("energy_pj", g.k.EnergyPJ(core)-energyBefore)
 	isp.EndWithCost(t.Busy - writeBusy)
-	g.flight.GuardIntervention(core, offsetMV, g.cfg.SafeOffsetMV, err == nil)
+	g.cfg.Telemetry.Recorder().GuardIntervention(core, offsetMV, g.cfg.SafeOffsetMV, err == nil)
 	if err == nil {
 		g.Interventions++
 		g.LastIntervention = g.k.Sim().Now()

@@ -148,7 +148,7 @@ func (sc *ShardedCharacterizer) run(classifyRow func(row []Classification, freqK
 	// and telemetry updates are serialized here: rows may finish out of
 	// order, but callbacks never run concurrently and rowsDone counts
 	// completions monotonically.
-	obs := newSweepObserver(sc.cfg.Telemetry, workers, strategy)
+	obs := newSweepObserver(sc.cfg.Telemetry, freqs, workers, strategy)
 	var firstErr error
 	done := 0
 	for r := range results {
@@ -160,7 +160,7 @@ func (sc *ShardedCharacterizer) run(classifyRow func(row []Classification, freqK
 		}
 		mergeRow(g, r)
 		done++
-		obs.row(freqs[r.fi], r)
+		obs.row(r)
 		if sc.cfg.Progress != nil {
 			sc.cfg.Progress(freqs[r.fi], done, len(freqs))
 		}
@@ -177,6 +177,7 @@ func (sc *ShardedCharacterizer) run(classifyRow func(row []Classification, freqK
 // no-ops.
 type sweepObserver struct {
 	tel     *telemetry.Set
+	freqs   []int
 	rowsC   *telemetry.Counter
 	rebootC *telemetry.Counter
 	cellsC  [3]*telemetry.Counter // indexed by Classification
@@ -192,13 +193,19 @@ type sweepObserver struct {
 	rows         int
 	totalVirtual sim.Duration
 	workerVirt   []sim.Duration
+
+	// early holds merged rows by frequency index; next is the index of the
+	// first row whose journal event and span are still owed.
+	early []*rowResult
+	next  int
 }
 
-func newSweepObserver(tel *telemetry.Set, workers int, strategy string) *sweepObserver {
-	o := &sweepObserver{tel: tel, workerVirt: make([]sim.Duration, workers)}
+func newSweepObserver(tel *telemetry.Set, freqs []int, workers int, strategy string) *sweepObserver {
+	o := &sweepObserver{tel: tel, freqs: freqs, workerVirt: make([]sim.Duration, workers)}
 	if tel == nil {
 		return o
 	}
+	o.early = make([]*rowResult, len(freqs))
 	reg := tel.Registry()
 	o.rowsC = reg.Counter("characterize_rows_total", "completed frequency rows", nil)
 	o.rebootC = reg.Counter("characterize_reboots_total", "crash recoveries during the sweep", nil)
@@ -231,8 +238,10 @@ func newSweepObserver(tel *telemetry.Set, workers int, strategy string) *sweepOb
 	return o
 }
 
-// row records one merged frequency row.
-func (o *sweepObserver) row(freqKHz int, r rowResult) {
+// row records one merged frequency row. Counters update on arrival; the
+// row's journal event and span are emitted in frequency order, so a row
+// that arrives ahead of a lower frequency waits in early.
+func (o *sweepObserver) row(r rowResult) {
 	o.rows++
 	o.totalVirtual += r.virtual
 	if r.worker < len(o.workerVirt) {
@@ -241,12 +250,7 @@ func (o *sweepObserver) row(freqKHz int, r rowResult) {
 	if o.tel == nil {
 		return
 	}
-	var perClass [3]int
-	for _, c := range r.row {
-		if int(c) < len(perClass) {
-			perClass[c]++
-		}
-	}
+	perClass := classCounts(r.row)
 	o.rowsC.Inc()
 	o.rebootC.Add(float64(r.reboots))
 	o.probesC.Add(float64(r.probes))
@@ -261,16 +265,27 @@ func (o *sweepObserver) row(freqKHz int, r rowResult) {
 	}
 	o.wRows[r.worker].Inc()
 	o.wVirt[r.worker].Add(telemetry.Seconds(r.virtual))
+	o.early[r.fi] = &r
+	for o.next < len(o.early) && o.early[o.next] != nil {
+		o.emit(o.early[o.next])
+		o.next++
+	}
+}
+
+// emit journals one row and records its causal span. Neither names the
+// worker, and both are emitted in frequency order, so the journal and the
+// exported trace are byte-identical for any worker count and any merge
+// arrival order — the worker attribution lives only in the explicitly
+// scheduler-dependent metrics. The span's track is per-frequency and its
+// duration is the row platform's own virtual time.
+func (o *sweepObserver) emit(r *rowResult) {
+	freqKHz := o.freqs[r.fi]
+	perClass := classCounts(r.row)
 	o.tel.Events().Emit("characterize_row", map[string]any{
-		"freq_khz": freqKHz, "worker": r.worker, "cells": len(r.row),
+		"freq_khz": freqKHz, "cells": len(r.row),
 		"safe": perClass[Safe], "fault": perClass[Fault], "crash": perClass[Crash],
 		"reboots": r.reboots, "virtual_ps": int64(r.virtual),
 	})
-	// One causal span per merged row. The track is per-frequency (not
-	// per-worker) and the duration is the row platform's own virtual time,
-	// so the exported trace is byte-identical for any worker count and any
-	// merge arrival order — the worker attribution lives only in the
-	// explicitly scheduler-dependent metrics above.
 	o.tel.Spans().Complete(fmt.Sprintf("characterize/%d", freqKHz), "row",
 		0, r.virtual, map[string]any{
 			"freq_khz": freqKHz, "cells": len(r.row),
@@ -279,9 +294,30 @@ func (o *sweepObserver) row(freqKHz int, r rowResult) {
 		})
 }
 
-// finish publishes the end-of-sweep aggregates.
+// classCounts tallies a row's cells by classification.
+func classCounts(row []Classification) [3]int {
+	var n [3]int
+	for _, c := range row {
+		if int(c) < len(n) {
+			n[c]++
+		}
+	}
+	return n
+}
+
+// finish emits any rows still owed and publishes the end-of-sweep
+// aggregates.
 func (o *sweepObserver) finish() {
-	if o.tel == nil || o.totalVirtual == 0 {
+	if o.tel == nil {
+		return
+	}
+	// Rows past a failed one are still owed.
+	for _, r := range o.early[o.next:] {
+		if r != nil {
+			o.emit(r)
+		}
+	}
+	if o.totalVirtual == 0 {
 		return
 	}
 	o.rate.Set(float64(o.rows) / telemetry.Seconds(o.totalVirtual))

@@ -21,12 +21,11 @@ import (
 	"math"
 
 	"plugvolt/internal/clockgen"
-	"plugvolt/internal/flight"
 	"plugvolt/internal/models"
 	"plugvolt/internal/msr"
 	"plugvolt/internal/power"
 	"plugvolt/internal/sim"
-	"plugvolt/internal/telemetry/span"
+	"plugvolt/internal/telemetry"
 	"plugvolt/internal/timing"
 	"plugvolt/internal/vr"
 )
@@ -101,9 +100,10 @@ type Core struct {
 	// transition so the platform's joule integrator closes the previous
 	// piecewise-constant segment exactly at the transition instant.
 	energy *power.Tracker
-	// flight, when set, records every commanded operating-point change —
-	// the P-state transition stream an incident bundle replays.
-	flight *flight.Recorder
+	// tel is the platform's telemetry set; its flight recorder, when set,
+	// records every commanded operating-point change — the P-state
+	// transition stream an incident bundle replays.
+	tel *telemetry.Set
 
 	// Retired counts successfully executed instructions; Faulted counts
 	// instructions whose result was corrupted.
@@ -165,7 +165,7 @@ func (c *Core) retarget() {
 	if c.energy != nil {
 		c.energy.Touch(c.index)
 	}
-	c.flight.PStateRetarget(c.index, c.targetRatio, int64(target*1000))
+	c.tel.Recorder().PStateRetarget(c.index, c.targetRatio, int64(target*1000))
 }
 
 // SetRatio commands a P-state change through the hardware path. The PCU
@@ -475,13 +475,9 @@ type Platform struct {
 
 	seed int64
 
-	// spans is the causal tracer attached to every core's MSR file; kept
-	// here so Reboot can re-attach it after rebuilding the files.
-	spans *span.Tracer
-
-	// flight is the flight recorder attached to every observation point;
-	// kept here so Reboot can re-attach it like the span tracer.
-	flight *flight.Recorder
+	// tel is the telemetry set attached to every observation point; kept
+	// here so Reboot can re-attach it after rebuilding the MSR files.
+	tel *telemetry.Set
 
 	// Energy is the platform's deterministic joule integrator. It bills
 	// each core's commanded operating point piecewise-constantly over the
@@ -689,11 +685,10 @@ func (p *Platform) Reboot() {
 		// crash-reboot cycle mid-experiment would otherwise silently detach
 		// the causal trace — and the flight recorder, whose whole job is
 		// explaining the crash that caused this very reboot.
-		c.MSRs.SetSpanTracer(p.spans)
-		c.MSRs.SetFlightRecorder(p.flight)
+		c.MSRs.SetTelemetry(p.tel)
 	}
 	// The rebuilt register files need the RAPL read functions back, exactly
-	// like the span tracer above.
+	// like the telemetry set above.
 	p.wireEnergy()
 	p.Reboots++
 	p.Sim.RunFor(p.RebootTime)
@@ -704,27 +699,20 @@ func (p *Platform) Reboot() {
 	}
 }
 
-// SetSpanTracer attaches the causal span tracer to every core's MSR file
-// (and keeps it attached across reboots). Nil detaches.
-func (p *Platform) SetSpanTracer(tr *span.Tracer) {
-	p.spans = tr
+// SetTelemetry attaches the telemetry set to every observation point the
+// platform owns — mailbox writes at each core's MSR file (span and flight
+// record), commanded operating-point changes at retarget, and energy-segment
+// boundaries at the joule integrator — and keeps it attached across
+// reboots. Every point holds the set pointer, so a flight recorder stored
+// into the set later is seen without calling this again. Nil detaches.
+func (p *Platform) SetTelemetry(t *telemetry.Set) {
+	p.tel = t
 	for _, c := range p.cores {
-		c.MSRs.SetSpanTracer(tr)
-	}
-}
-
-// SetFlightRecorder attaches the flight recorder to every observation point
-// the platform owns — mailbox writes at each core's MSR file, commanded
-// operating-point changes at retarget, and energy-segment boundaries at the
-// joule integrator — and keeps it attached across reboots. Nil detaches.
-func (p *Platform) SetFlightRecorder(rec *flight.Recorder) {
-	p.flight = rec
-	for _, c := range p.cores {
-		c.flight = rec
-		c.MSRs.SetFlightRecorder(rec)
+		c.tel = t
+		c.MSRs.SetTelemetry(t)
 	}
 	if p.Energy != nil {
-		p.Energy.SetFlightRecorder(rec)
+		p.Energy.SetTelemetry(t)
 	}
 }
 

@@ -7,9 +7,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"plugvolt/internal/flight"
 	"plugvolt/internal/models"
 	"plugvolt/internal/msr"
 	"plugvolt/internal/sim"
+	"plugvolt/internal/telemetry"
 )
 
 func newSkyLake(t *testing.T, seed int64) *Platform {
@@ -314,6 +316,80 @@ func TestRebootRecovers(t *testing.T) {
 	res, err := c.RunBatch(ClassIMul, 100_000)
 	if err != nil || res.Faults != 0 {
 		t.Fatalf("post-reboot execution: %v, faults=%d", err, res.Faults)
+	}
+}
+
+// flightRecords freezes everything rec holds into a bundle and returns the
+// bundle's records (the trigger record last).
+func flightRecords(t *testing.T, rec *flight.Recorder) []flight.Record {
+	t.Helper()
+	rec.Trigger(flight.CauseFault, 0, "test")
+	rec.Seal()
+	b := rec.Bundles()
+	if len(b) == 0 {
+		t.Fatal("recorder sealed no bundle")
+	}
+	return b[len(b)-1].Records
+}
+
+// The rebuilt MSR files of a crash reboot must keep observing through the
+// platform's telemetry set: an accepted mailbox write after Reboot yields a
+// mailbox_write span and a flight record carrying that span's ID.
+func TestTelemetrySurvivesReboot(t *testing.T) {
+	p := newSkyLake(t, 7)
+	tel := telemetry.NewSet(p.Sim.Now, 64, 7)
+	tel.Rec = flight.NewRecorder(p.Sim.Now, 256, 8, p.Spec.Codename, 7)
+	p.SetTelemetry(tel)
+	if err := p.WriteOffsetViaMSR(0, -500, msr.PlaneCore); err != nil {
+		t.Fatal(err)
+	}
+	p.SettleAll()
+	_, _ = p.Core(0).RunBatch(ClassIMul, 1_000_000)
+	if !p.Crashed() {
+		t.Fatal("precondition: not crashed")
+	}
+	p.Reboot()
+	if err := p.WriteOffsetViaMSR(0, -20, msr.PlaneCore); err != nil {
+		t.Fatal(err)
+	}
+
+	spans := tel.Spans().Spans()
+	last := spans[len(spans)-1]
+	if last.Name != "mailbox_write" || last.Attrs["offset_mv"] != -20 || last.Attrs["outcome"] != "accepted" {
+		t.Fatalf("post-reboot write not traced: last span %s %v", last.Name, last.Attrs)
+	}
+	var w flight.Record
+	for _, r := range flightRecords(t, tel.Rec) {
+		if r.Kind == flight.KindMailboxWrite {
+			w = r
+		}
+	}
+	if w.A != -20 || w.Flag != flight.OutcomeAccepted {
+		t.Fatalf("post-reboot write not recorded: %+v", w)
+	}
+	if w.Span != uint64(last.ID) {
+		t.Fatalf("flight record links span %x, want %x", w.Span, last.ID)
+	}
+}
+
+// A flight recorder stored into the platform's telemetry set after boot is
+// seen by every observation point holding the set, without re-wiring:
+// retargets at the core and segment boundaries at the energy integrator.
+func TestLateRecorderAttachNeedsNoRewiring(t *testing.T) {
+	p := newSkyLake(t, 7)
+	tel := telemetry.NewSet(p.Sim.Now, 64, 7)
+	p.SetTelemetry(tel)
+	tel.Rec = flight.NewRecorder(p.Sim.Now, 256, 8, p.Spec.Codename, 7)
+	if err := p.SetRatioViaMSR(0, p.Spec.BaseRatio-4); err != nil {
+		t.Fatal(err)
+	}
+	p.SettleAll()
+	kinds := map[flight.Kind]int{}
+	for _, r := range flightRecords(t, tel.Rec) {
+		kinds[r.Kind]++
+	}
+	if kinds[flight.KindPStateRetarget] == 0 || kinds[flight.KindEnergySegment] == 0 {
+		t.Fatalf("late-attached recorder missed observations: %v", kinds)
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 
 	"plugvolt/internal/core"
 	"plugvolt/internal/cpu"
-	"plugvolt/internal/flight"
 	"plugvolt/internal/kernel"
 	"plugvolt/internal/msr"
 	"plugvolt/internal/sgx"
@@ -34,13 +33,11 @@ type Env struct {
 	Kernel   *kernel.Kernel
 	Registry *sgx.Registry
 	// Telemetry, when set, receives attack/defense instrumentation (mailbox
-	// write counters, fault events). Optional: a nil set disables it and
+	// write counters, fault events); when its flight recorder is set,
+	// attack campaigns fire incident triggers into it at every observed
+	// victim fault and machine crash. Optional: a nil set disables it and
 	// every instrument degrades to a no-op.
 	Telemetry *telemetry.Set
-	// Flight, when set, is the machine's flight recorder: attack campaigns
-	// fire incident triggers into it at every observed victim fault and
-	// machine crash. Optional; nil disables capture.
-	Flight *flight.Recorder
 }
 
 // Validate checks the env is complete.

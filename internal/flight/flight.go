@@ -270,11 +270,19 @@ func (r *Recorder) at() sim.Time {
 	return r.now()
 }
 
-// append writes one record: overwrite-oldest into the ring and, when a
-// capture is open, into the pending bundle. Steady state (no open capture)
+// append writes one record under the lock. Steady state (no open capture)
 // performs no allocation.
 func (r *Recorder) append(rec Record) {
 	r.mu.Lock()
+	r.storeLocked(rec)
+	r.mu.Unlock()
+}
+
+// storeLocked writes one record overwrite-oldest into the ring and, when a
+// capture is open, into the pending bundle, and reports whether a capture
+// took it. It is the one place ring and record accounting happen. Caller
+// holds r.mu.
+func (r *Recorder) storeLocked(rec Record) bool {
 	i := int(r.head % uint64(len(r.buf)))
 	if r.head >= uint64(len(r.buf)) {
 		r.overwrites++
@@ -282,14 +290,16 @@ func (r *Recorder) append(rec Record) {
 	r.buf[i] = rec
 	r.head++
 	r.records++
-	if p := r.pending; p != nil {
-		p.bundle.Records = append(p.bundle.Records, rec)
-		p.remaining--
-		if p.remaining <= 0 {
-			r.sealLocked()
-		}
+	p := r.pending
+	if p == nil {
+		return false
 	}
-	r.mu.Unlock()
+	p.bundle.Records = append(p.bundle.Records, rec)
+	p.remaining--
+	if p.remaining <= 0 {
+		r.sealLocked()
+	}
+	return true
 }
 
 // MailboxWrite records one OC-mailbox voltage write command and its outcome
@@ -377,20 +387,7 @@ func (r *Recorder) Trigger(cause Cause, core int, detail string) {
 	at := r.at()
 	r.mu.Lock()
 	r.triggers++
-	trig := Record{At: at, Kind: KindTrigger, Core: int16(core), A: causeCodes[cause]}
-	i := int(r.head % uint64(len(r.buf)))
-	if r.head >= uint64(len(r.buf)) {
-		r.overwrites++
-	}
-	r.buf[i] = trig
-	r.head++
-	r.records++
-	if r.pending != nil {
-		r.pending.bundle.Records = append(r.pending.bundle.Records, trig)
-		r.pending.remaining--
-		if r.pending.remaining <= 0 {
-			r.sealLocked()
-		}
+	if r.storeLocked(Record{At: at, Kind: KindTrigger, Core: int16(core), A: causeCodes[cause]}) {
 		r.mu.Unlock()
 		return
 	}

@@ -18,6 +18,7 @@ import (
 	"math"
 
 	"plugvolt/internal/flight"
+	"plugvolt/internal/telemetry"
 	"plugvolt/internal/telemetry/span"
 )
 
@@ -312,18 +313,17 @@ type File struct {
 	Reads  uint64
 	Writes uint64
 
-	// spans, when set, receives one causal span per OC-mailbox voltage
-	// write command (the security-relevant wrmsr every DVFS attack and the
-	// guard's rewrite go through), tagged with the decoded offset and the
-	// accepted/blocked/rewritten outcome. Nil (the default, including on the
-	// characterizer's private row platforms) keeps Write allocation-free.
-	spans *span.Tracer
-
-	// flight, when set, receives the same mailbox voltage write commands as
-	// compact flight records (offset, plane, outcome, causal span ID) — the
-	// pre-trigger evidence stream behind incident bundles. The flight path
+	// tel, when set, observes every OC-mailbox voltage write command (the
+	// security-relevant wrmsr every DVFS attack and the guard's rewrite go
+	// through): its span tracer gets one causal span tagged with the decoded
+	// offset and the accepted/blocked/rewritten outcome, and its flight
+	// recorder a compact record carrying that span's ID — the pre-trigger
+	// evidence stream behind incident bundles. The sinks are read from the
+	// set at each write, so a recorder attached to the set later is seen
+	// without re-wiring. Nil (the default, including on the characterizer's
+	// private row platforms) keeps Write allocation-free; the flight path
 	// stays allocation-free even with spans detached.
-	flight *flight.Recorder
+	tel *telemetry.Set
 }
 
 // NewFile builds an MSR file for the given core with the standard registers
@@ -434,33 +434,29 @@ func (f *File) Read(addr Addr) (uint64, error) {
 	return f.vals[i], nil
 }
 
-// SetSpanTracer attaches (or, with nil, detaches) the causal span tracer
-// that observes OC-mailbox voltage write commands on this file. The platform
-// re-applies it when a reboot rebuilds the register file.
-func (f *File) SetSpanTracer(tr *span.Tracer) { f.spans = tr }
-
-// SetFlightRecorder attaches (or, with nil, detaches) the flight recorder
-// that observes OC-mailbox voltage write commands on this file. As with the
-// span tracer, the platform re-applies it across reboots.
-func (f *File) SetFlightRecorder(rec *flight.Recorder) { f.flight = rec }
+// SetTelemetry attaches (or, with nil, detaches) the telemetry set whose
+// span tracer and flight recorder observe OC-mailbox voltage write commands
+// on this file. The platform re-applies it when a reboot rebuilds the
+// register file.
+func (f *File) SetTelemetry(t *telemetry.Set) { f.tel = t }
 
 // observeMailboxWrite records one mailbox voltage-write observation: a span
-// (when a tracer is attached) and a flight record (when a recorder is
-// attached) carrying the span's ID so the bundle links back into the trace.
+// (when the set has a tracer) and a flight record (when it has a recorder)
+// carrying the span's ID so the bundle links back into the trace.
 // outcome is "accepted", "rewritten" (a hook transformed the command — clamp
 // or write-ignore) or "blocked" (a hook or the commit stage rejected it, #GP
 // to the writer); flag is the matching flight outcome code.
 func (f *File) observeMailboxWrite(dec DecodedMailbox, outcome string, flag uint8) {
 	var id span.ID
-	if f.spans != nil {
-		id = f.spans.Instant(fmt.Sprintf("msr/core%d", f.core), "mailbox_write", map[string]any{
+	if tr := f.tel.Spans(); tr != nil {
+		id = tr.Instant(fmt.Sprintf("msr/core%d", f.core), "mailbox_write", map[string]any{
 			"core":      f.core,
 			"offset_mv": dec.OffsetMV,
 			"plane":     dec.Plane.String(),
 			"outcome":   outcome,
 		})
 	}
-	f.flight.MailboxWrite(f.core, dec.OffsetMV, uint8(dec.Plane), flag, uint64(id))
+	f.tel.Recorder().MailboxWrite(f.core, dec.OffsetMV, uint8(dec.Plane), flag, uint64(id))
 }
 
 // Write implements wrmsr, running the register's write hooks.
@@ -478,7 +474,7 @@ func (f *File) Write(addr Addr, val uint64) error {
 	}
 	// Observe only OC-mailbox voltage write commands: the wrmsr at the heart
 	// of every DVFS fault attack and of the guard's corrective rewrite.
-	observed := (f.spans != nil || f.flight != nil) && addr == OCMailbox
+	observed := addr == OCMailbox && (f.tel.Spans() != nil || f.tel.Recorder() != nil)
 	var dec DecodedMailbox
 	if observed {
 		dec = DecodeVoltageOffset(val)

@@ -40,7 +40,9 @@ import (
 // a nil Telemetry serves empty documents, a nil Watchdog omits the SLO
 // section, a nil Lock skips locking.
 type Server struct {
-	// Telemetry is the set to expose.
+	// Telemetry is the set to expose. Its flight recorder, when set, backs
+	// /incidents (bundle list + fetch) and the /healthz flight section (ring
+	// utilization and capture counters).
 	Telemetry *telemetry.Set
 	// Collect, when set, is invoked before serving /metrics or /healthz so
 	// pull-style gauges reflect the moment of the request (typically
@@ -57,9 +59,6 @@ type Server struct {
 	// energy broken down by CostKind (the power_energy_joules_total series,
 	// surfaced here so health checks need not scrape /metrics).
 	Energy func() *EnergyHealth
-	// Flight, when set, backs /incidents (bundle list + fetch) and the
-	// /healthz flight section (ring utilization and capture counters).
-	Flight *flight.Recorder
 	// Lock, when set, is held across every handler body.
 	Lock sync.Locker
 }
@@ -305,8 +304,8 @@ func (s *Server) health() Health {
 	if s.Energy != nil {
 		h.Energy = s.Energy()
 	}
-	if s.Flight != nil {
-		st := s.Flight.Stats()
+	if rec := s.Telemetry.Recorder(); rec != nil {
+		st := rec.Stats()
 		h.Flight = &st
 	}
 	return h
@@ -344,10 +343,7 @@ type IncidentSummary struct {
 // CRC-framed binary encoding (the -incidents-out file format).
 func (s *Server) handleIncidents(w http.ResponseWriter, r *http.Request) {
 	defer s.lock()()
-	var bundles []*flight.Bundle
-	if s.Flight != nil {
-		bundles = s.Flight.Bundles()
-	}
+	bundles := s.Telemetry.Recorder().Bundles()
 	q := r.URL.Query().Get("seq")
 	if q == "" {
 		list := make([]IncidentSummary, 0, len(bundles))

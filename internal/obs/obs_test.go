@@ -169,9 +169,8 @@ func TestHealthzDegradedOnSLOViolation(t *testing.T) {
 	// One poll at 1ms, then silence until 100ms: a stall for the watchdog.
 	*now = 100 * sim.Millisecond
 	srv.Watchdog = &slo.Watchdog{
-		Tracer:  srv.Telemetry.Spans(),
-		Journal: srv.Telemetry.Events(),
-		Rules:   slo.DefaultRules(100 * sim.Microsecond),
+		Telemetry: srv.Telemetry,
+		Rules:     slo.DefaultRules(100 * sim.Microsecond),
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -340,7 +339,7 @@ func flightFixture() *flight.Recorder {
 // fetch-by-seq in JSON and framed form, and the error paths.
 func TestIncidentsEndpoint(t *testing.T) {
 	srv, _ := fixture(t)
-	srv.Flight = flightFixture()
+	srv.Telemetry.Rec = flightFixture()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -408,7 +407,7 @@ func TestIncidentsEndpointWithoutRecorder(t *testing.T) {
 // utilization and capture counters.
 func TestHealthzFlightSection(t *testing.T) {
 	srv, _ := fixture(t)
-	srv.Flight = flightFixture()
+	srv.Telemetry.Rec = flightFixture()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	_, body := get(t, ts, "/healthz")
@@ -431,9 +430,8 @@ func TestHealthzDegradedBodyNamesViolatedRules(t *testing.T) {
 	srv, now := fixture(t)
 	*now = 100 * sim.Millisecond
 	srv.Watchdog = &slo.Watchdog{
-		Tracer:  srv.Telemetry.Spans(),
-		Journal: srv.Telemetry.Events(),
-		Rules:   slo.DefaultRules(100 * sim.Microsecond),
+		Telemetry: srv.Telemetry,
+		Rules:     slo.DefaultRules(100 * sim.Microsecond),
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

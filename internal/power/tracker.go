@@ -3,8 +3,8 @@ package power
 import (
 	"errors"
 
-	"plugvolt/internal/flight"
 	"plugvolt/internal/sim"
+	"plugvolt/internal/telemetry"
 )
 
 // PointFn reports a core's *commanded* operating point: the frequency of
@@ -50,16 +50,16 @@ type Tracker struct {
 	// PackageEnergyJ (PKG = PP0 + uncore), constant while powered.
 	UncoreW float64
 
-	// flight, when set, records every segment boundary (Touch/Blackout)
-	// with the newly billed power — the energy-segment stream an incident
-	// bundle correlates against P-state retargets and mailbox writes.
-	// Observation only: it never changes what is billed.
-	flight *flight.Recorder
+	// tel's flight recorder, when set, records every segment boundary
+	// (Touch/Blackout) with the newly billed power — the energy-segment
+	// stream an incident bundle correlates against P-state retargets and
+	// mailbox writes. Observation only: it never changes what is billed.
+	tel *telemetry.Set
 }
 
-// SetFlightRecorder attaches (nil detaches) the flight recorder observing
-// segment boundaries.
-func (t *Tracker) SetFlightRecorder(rec *flight.Recorder) { t.flight = rec }
+// SetTelemetry attaches (nil detaches) the telemetry set whose flight
+// recorder observes segment boundaries.
+func (t *Tracker) SetTelemetry(tel *telemetry.Set) { t.tel = tel }
 
 // NewTracker builds a tracker over numCores cores. The clock and point
 // functions must be non-nil; each core's first segment opens at now().
@@ -117,7 +117,7 @@ func (t *Tracker) accrue(core int) *coreMeter {
 func (t *Tracker) Touch(core int) {
 	m := t.accrue(core)
 	m.lastW = t.PriceW(core)
-	t.flight.EnergySegment(core, m.lastW)
+	t.tel.Recorder().EnergySegment(core, m.lastW)
 }
 
 // TouchAll touches every core (index order, for deterministic rounding).
@@ -132,7 +132,7 @@ func (t *Tracker) TouchAll() {
 func (t *Tracker) Blackout(core int) {
 	m := t.accrue(core)
 	m.lastW = 0
-	t.flight.EnergySegment(core, 0)
+	t.tel.Recorder().EnergySegment(core, 0)
 }
 
 // CoreW returns the power currently billed to a core.

@@ -216,11 +216,11 @@ func (r *Report) EmitJournal(j *telemetry.Journal) {
 	})
 }
 
-// Watchdog evaluates SLO rules over a tracer and journal.
+// Watchdog evaluates SLO rules over a telemetry set's span tracer and
+// journal.
 type Watchdog struct {
-	Tracer  *span.Tracer
-	Journal *telemetry.Journal
-	Rules   []Rule
+	Telemetry *telemetry.Set
+	Rules     []Rule
 	// Unsafe classifies an accepted non-guard mailbox write: true when
 	// (core's frequency, offset) is in the characterized unsafe set. The
 	// dwell and closure rules only consider writes this reports unsafe;
@@ -247,12 +247,13 @@ type window struct {
 // reports and nothing is mutated.
 func (w *Watchdog) Evaluate(end sim.Time) *Report {
 	rep := &Report{End: end, Rules: w.Rules}
-	spans := sortSpans(w.Tracer.Spans())
+	tr := w.Telemetry.Spans()
+	spans := sortSpans(tr.Spans())
 	// A saturated drop-newest buffer records nothing past some horizon; a
 	// poll "gap" from there to end is an artifact of truncation, not a
 	// stall. Clamp the window to the last recorded span so the rules only
 	// judge time the trace actually covers.
-	if w.Tracer.Dropped() > 0 && len(spans) > 0 {
+	if tr.Dropped() > 0 && len(spans) > 0 {
 		if horizon := spans[len(spans)-1].Start; horizon < end {
 			end = horizon
 			rep.End = end
@@ -512,10 +513,11 @@ func (w *Watchdog) checkClosure(rep *Report, rule Rule, windows []window, end si
 	// Every journaled fault must land inside an open unsafe window; a fault
 	// with no preceding unsafe mailbox write points at out-of-band injection
 	// (VoltPillager-style) or a broken trace.
-	if w.Journal == nil {
+	j := w.Telemetry.Events()
+	if j == nil {
 		return
 	}
-	for _, e := range w.Journal.OfType("attack_fault") {
+	for _, e := range j.OfType("attack_fault") {
 		if e.At > end {
 			continue // past the (possibly clamped) window
 		}

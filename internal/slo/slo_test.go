@@ -28,7 +28,7 @@ func newHarness() *harness {
 }
 
 func (h *harness) watchdog(unsafe func(core, offsetMV int) bool) *Watchdog {
-	return &Watchdog{Tracer: h.tr, Journal: h.j, Rules: DefaultRules(pollPeriod), Unsafe: unsafe}
+	return &Watchdog{Telemetry: &telemetry.Set{Trace: h.tr, Journal: h.j}, Rules: DefaultRules(pollPeriod), Unsafe: unsafe}
 }
 
 // polls emits healthy guard_poll spans on the core every pollPeriod from
@@ -248,7 +248,7 @@ func TestPollLatencyP99(t *testing.T) {
 	}
 	h.tr.Complete("guard", "guard_poll", 50*sim.Time(sim.Microsecond),
 		10*sim.Microsecond, map[string]any{"core": 0})
-	wd := &Watchdog{Tracer: h.tr, Rules: []Rule{{Kind: KindPollLatencyP99, Limit: 2 * sim.Microsecond}}}
+	wd := &Watchdog{Telemetry: &telemetry.Set{Trace: h.tr}, Rules: []Rule{{Kind: KindPollLatencyP99, Limit: 2 * sim.Microsecond}}}
 	rep := wd.Evaluate(end)
 	if rep.OK() {
 		t.Fatalf("slow p99 not flagged: p99=%v", sim.Time(rep.Stats.PollLatencyP99))

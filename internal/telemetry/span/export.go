@@ -11,8 +11,8 @@ import (
 
 // This file renders the recorded spans in two interchange formats:
 //
-//   - Chrome trace-event JSON ("X" complete events plus "M" metadata and "C"
-//     counter events), loadable in Perfetto (https://ui.perfetto.dev) or
+//   - Chrome trace-event JSON ("X" complete events plus "M" metadata
+//     events), loadable in Perfetto (https://ui.perfetto.dev) or
 //     chrome://tracing;
 //   - folded flamegraph text (one "frame;frame;frame value" line per unique
 //     causal path, self-time in virtual/CPU nanoseconds), consumable by
@@ -45,36 +45,16 @@ func tsMicros(ps int64) string {
 	return strings.TrimRight(s, "0")
 }
 
-// WriteChromeTrace renders every recorded span and counter sample as a
-// Chrome trace-event JSON document.
+// WriteChromeTrace renders every recorded span as a Chrome trace-event JSON
+// document.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	var spans []Span
-	var counters []CounterSample
-	if t != nil {
-		spans = t.Spans()
-		counters = t.Counters()
-	}
-	spans = sorted(spans)
-	counters = append([]CounterSample(nil), counters...)
-	sort.SliceStable(counters, func(i, j int) bool {
-		a, b := counters[i], counters[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if a.Track != b.Track {
-			return a.Track < b.Track
-		}
-		return a.Name < b.Name
-	})
+	spans := sorted(t.Spans())
 
 	// Assign pids to track prefixes and tids to tracks, both in sorted order
 	// so the numbering is independent of emission interleaving.
 	trackSet := map[string]bool{}
 	for _, s := range spans {
 		trackSet[s.Track] = true
-	}
-	for _, c := range counters {
-		trackSet[c.Track] = true
 	}
 	tracks := make([]string, 0, len(trackSet))
 	for tr := range trackSet {
@@ -126,14 +106,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			pids[trackPID(s.Track)], tids[s.Track],
 			tsMicros(int64(s.Start)), tsMicros(int64(s.Dur)),
 			s.Name, trackPID(s.Track), args))
-	}
-	for _, c := range counters {
-		v, err := json.Marshal(c.Value)
-		if err != nil {
-			return err
-		}
-		emit(fmt.Sprintf(`{"ph":"C","pid":%d,"tid":%d,"ts":%s,"name":%q,"args":{"value":%s}}`,
-			pids[trackPID(c.Track)], tids[c.Track], tsMicros(int64(c.At)), c.Name, v))
 	}
 	bw.str("\n]}\n")
 	return bw.err

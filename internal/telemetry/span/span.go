@@ -80,18 +80,6 @@ type Tracer struct {
 	// which makes a single stack a sound causality model; the mutex keeps the
 	// race detector happy for concurrent readers (the obs server).
 	stack []ID
-	// counters holds sampled counter tracks ("C" events in the Chrome
-	// export), e.g. the victim rail voltage over time.
-	counters []CounterSample
-}
-
-// CounterSample is one sampled value on a counter track, rendered as a
-// Chrome trace "C" event.
-type CounterSample struct {
-	Track string
-	Name  string
-	At    sim.Time
-	Value float64
 }
 
 // NewTracer builds a tracer stamped by clock, minting IDs from seed, bounded
@@ -157,137 +145,32 @@ func (t *Tracer) record(s Span) {
 	t.spans = append(t.spans, s)
 }
 
-// Active is a span under construction, returned by Start. A nil *Active
-// (from a nil tracer) absorbs all calls.
-type Active struct {
-	t     *Tracer
-	span  Span
-	ended bool
-}
-
-// Start opens a span on track at the current virtual time, parented under
-// the innermost span still open (the scope stack top). Close it with End or
-// EndWithCost; until then it is the parent of any span started beneath it.
-func (t *Tracer) Start(track, name string, attrs map[string]any) *Active {
-	return t.start(track, name, attrs, false)
-}
-
-// StartRoot opens a span like Start but with no parent, regardless of the
-// scope stack. Periodic work that interrupts whatever the simulator happens
-// to be running — a kthread tick firing inside an attack campaign's RunFor —
-// uses this so preemption is not mistaken for causality. Spans started
-// beneath it still parent under it normally.
-func (t *Tracer) StartRoot(track, name string, attrs map[string]any) *Active {
-	return t.start(track, name, attrs, true)
-}
-
-func (t *Tracer) start(track, name string, attrs map[string]any, root bool) *Active {
-	if t == nil {
-		return nil
-	}
-	at := t.now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	id, seq := t.mint(track)
-	var parent ID
-	if !root {
-		if n := len(t.stack); n > 0 {
-			parent = t.stack[n-1]
-		}
-	}
-	t.stack = append(t.stack, id)
-	return &Active{t: t, span: Span{
-		ID: id, Parent: parent, Track: track, Name: name,
-		Start: at, Attrs: attrs, Seq: seq,
-	}}
-}
-
-// ID reports the active span's ID (zero on nil).
-func (a *Active) ID() ID {
-	if a == nil {
-		return 0
-	}
-	return a.span.ID
-}
-
-// SetAttr attaches or overwrites one attribute before the span ends.
-func (a *Active) SetAttr(key string, value any) {
-	if a == nil || a.ended {
-		return
-	}
-	a.t.mu.Lock()
-	defer a.t.mu.Unlock()
-	if a.span.Attrs == nil {
-		a.span.Attrs = map[string]any{}
-	}
-	a.span.Attrs[key] = value
-}
-
-// End closes the span with a virtual-clock duration (now - start) and pops
-// it from the scope stack. Ending twice is a no-op.
-func (a *Active) End() {
-	if a == nil || a.ended {
-		return
-	}
-	a.finish(a.t.now() - a.span.Start)
-}
-
-// EndWithCost closes the span with an explicit duration — the CPU cost the
-// work charged — instead of a clock delta. This is how kthread-side spans
-// (polls, rdmsr/wrmsr steps) get nonzero durations: kernel work charges
-// stolen time against the core without advancing the virtual clock, so a
-// clock delta would always read zero.
-func (a *Active) EndWithCost(d sim.Duration) {
-	if a == nil || a.ended {
-		return
-	}
-	if d < 0 {
-		d = 0
-	}
-	a.finish(d)
-}
-
-func (a *Active) finish(d sim.Duration) {
-	a.ended = true
-	a.span.Dur = d
-	t := a.t
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	// Pop this span from the scope stack. Out-of-order ends (a parent ended
-	// before a still-open child) are tolerated by unwinding to the span.
-	for i := len(t.stack) - 1; i >= 0; i-- {
-		if t.stack[i] == a.span.ID {
-			t.stack = t.stack[:i]
-			break
-		}
-	}
-	t.record(a.span)
-}
-
-// Scope is a by-value active span for allocation-free hot paths. Unlike
-// Start, StartScope never heap-allocates: the Scope lives in the caller's
+// Scope is a span under construction, held by value for allocation-free hot
+// paths: StartScope never heap-allocates, the Scope lives in the caller's
 // frame. The trade-off is the contract on attrs — the map is retained by
 // reference until the span is recorded at End/EndWithCost, so zero-alloc
 // callers pass a preallocated map they never mutate afterwards (e.g. the
-// guard's per-core poll attributes). There is no SetAttr; a scope's
-// attributes are fixed at start. The zero Scope (and any Scope from a nil
-// tracer) absorbs all calls.
+// guard's per-core poll attributes). The zero Scope (and any Scope from a
+// nil tracer) absorbs all calls.
 type Scope struct {
 	t     *Tracer
 	span  Span
 	ended bool
 }
 
-// StartScope opens a span exactly like Start — minted ID, parented under the
-// scope-stack top, recorded when ended — but returns the active span by
-// value. See Scope for the attrs aliasing contract.
+// StartScope opens a span on track at the current virtual time, parented
+// under the innermost span still open (the scope stack top), and returns it
+// by value. Close it with End or EndWithCost; until then it is the parent of
+// any span started beneath it. See Scope for the attrs aliasing contract.
 func (t *Tracer) StartScope(track, name string, attrs map[string]any) Scope {
 	return t.startScope(track, name, attrs, false)
 }
 
-// StartRootScope opens a parentless span like StartRoot, by value. Periodic
-// hot paths (the kthread tick wrapper) use it so steady-state tracing never
-// heap-allocates; spans started beneath it still parent under it normally.
+// StartRootScope opens a span like StartScope but with no parent, regardless
+// of the scope stack. Periodic work that interrupts whatever the simulator
+// happens to be running — a kthread tick firing inside an attack campaign's
+// RunFor — uses this so preemption is not mistaken for causality. Spans
+// started beneath it still parent under it normally.
 func (t *Tracer) StartRootScope(track, name string, attrs map[string]any) Scope {
 	return t.startScope(track, name, attrs, true)
 }
@@ -316,7 +199,8 @@ func (t *Tracer) startScope(track, name string, attrs map[string]any, root bool)
 // ID reports the scope's span ID (zero on the zero Scope).
 func (s *Scope) ID() ID { return s.span.ID }
 
-// End closes the scope with a virtual-clock duration, like (*Active).End.
+// End closes the scope with a virtual-clock duration (now - start) and pops
+// it from the scope stack. Ending twice is a no-op.
 func (s *Scope) End() {
 	if s.t == nil || s.ended {
 		return
@@ -324,8 +208,11 @@ func (s *Scope) End() {
 	s.finish(s.t.now() - s.span.Start)
 }
 
-// EndWithCost closes the scope with an explicit CPU-cost duration, like
-// (*Active).EndWithCost. Ending twice is a no-op.
+// EndWithCost closes the scope with an explicit duration — the CPU cost the
+// work charged — instead of a clock delta. This is how kthread-side spans
+// (polls, rdmsr/wrmsr steps) get nonzero durations: kernel work charges
+// stolen time against the core without advancing the virtual clock, so a
+// clock delta would always read zero. Ending twice is a no-op.
 func (s *Scope) EndWithCost(d sim.Duration) {
 	if s.t == nil || s.ended {
 		return
@@ -341,6 +228,8 @@ func (s *Scope) finish(d sim.Duration) {
 	s.span.Dur = d
 	t := s.t
 	t.mu.Lock()
+	// Pop this span from the scope stack. Out-of-order ends (a parent ended
+	// before a still-open child) are tolerated by unwinding to the span.
 	for i := len(t.stack) - 1; i >= 0; i-- {
 		if t.stack[i] == s.span.ID {
 			t.stack = t.stack[:i]
@@ -349,6 +238,63 @@ func (s *Scope) finish(d sim.Duration) {
 	}
 	t.record(s.span)
 	t.mu.Unlock()
+}
+
+// Active is a heap-allocated Scope, returned by Start, that can also gain
+// attributes before it ends (SetAttr). A nil *Active (from a nil tracer)
+// absorbs all calls.
+type Active struct{ Scope }
+
+// Start opens a span like StartScope but returns it by pointer, for callers
+// that set attributes as the work unfolds.
+func (t *Tracer) Start(track, name string, attrs map[string]any) *Active {
+	if t == nil {
+		return nil
+	}
+	return &Active{t.startScope(track, name, attrs, false)}
+}
+
+// StartRoot opens a parentless span like StartRootScope, by pointer.
+func (t *Tracer) StartRoot(track, name string, attrs map[string]any) *Active {
+	if t == nil {
+		return nil
+	}
+	return &Active{t.startScope(track, name, attrs, true)}
+}
+
+// ID reports the active span's ID (zero on nil).
+func (a *Active) ID() ID {
+	if a == nil {
+		return 0
+	}
+	return a.Scope.ID()
+}
+
+// End closes the span like (*Scope).End; nil-safe.
+func (a *Active) End() {
+	if a != nil {
+		a.Scope.End()
+	}
+}
+
+// EndWithCost closes the span like (*Scope).EndWithCost; nil-safe.
+func (a *Active) EndWithCost(d sim.Duration) {
+	if a != nil {
+		a.Scope.EndWithCost(d)
+	}
+}
+
+// SetAttr attaches or overwrites one attribute before the span ends.
+func (a *Active) SetAttr(key string, value any) {
+	if a == nil || a.ended {
+		return
+	}
+	a.t.mu.Lock()
+	defer a.t.mu.Unlock()
+	if a.span.Attrs == nil {
+		a.span.Attrs = map[string]any{}
+	}
+	a.span.Attrs[key] = value
 }
 
 // Complete records an already-finished span in one call, parented under the
@@ -382,17 +328,6 @@ func (t *Tracer) Instant(track, name string, attrs map[string]any) ID {
 	return t.Complete(track, name, t.now(), 0, attrs)
 }
 
-// Sample records one value on a counter track at the given virtual time,
-// exported as a Chrome trace "C" event (e.g. rail voltage over time).
-func (t *Tracer) Sample(track, name string, at sim.Time, value float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.counters = append(t.counters, CounterSample{Track: track, Name: name, At: at, Value: value})
-}
-
 // Spans returns a copy of the recorded spans in emission order.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
@@ -401,16 +336,6 @@ func (t *Tracer) Spans() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]Span(nil), t.spans...)
-}
-
-// Counters returns a copy of the recorded counter samples in emission order.
-func (t *Tracer) Counters() []CounterSample {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]CounterSample(nil), t.counters...)
 }
 
 // Len reports the number of retained spans.

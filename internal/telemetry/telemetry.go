@@ -32,6 +32,7 @@ import (
 	"strings"
 	"sync"
 
+	"plugvolt/internal/flight"
 	"plugvolt/internal/sim"
 	"plugvolt/internal/telemetry/span"
 )
@@ -319,42 +320,21 @@ func (h *Histogram) Sum() float64 {
 	return h.s.sum
 }
 
-// LinearBuckets returns count ascending bounds start, start+width, ...
-func LinearBuckets(start, width float64, count int) []float64 {
-	if count <= 0 || width <= 0 {
-		panic("telemetry: linear buckets need positive width and count")
-	}
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
-// ExponentialBuckets returns count ascending bounds start, start*factor, ...
-func ExponentialBuckets(start, factor float64, count int) []float64 {
-	if count <= 0 || start <= 0 || factor <= 1 {
-		panic("telemetry: exponential buckets need start>0, factor>1, count>0")
-	}
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
-}
-
 // Seconds converts a virtual duration to the float seconds the exposition
 // uses as its base unit for time series.
 func Seconds(d sim.Duration) float64 { return float64(d) / float64(sim.Second) }
 
-// Set bundles a Registry, a Journal and a span Tracer on a shared clock —
-// the unit a subsystem accepts to become observable. A nil *Set (and nil
+// Set bundles a Registry, a Journal, a span Tracer and an optional flight
+// Recorder on a shared clock — the one observability handle every layer
+// holds. Layers keep the *Set pointer rather than copies of its fields, so
+// attaching a sink later (a flight recorder after boot) is one field store
+// that every holder sees at its next observation. A nil *Set (and nil
 // fields) turns every instrumentation site into a no-op.
 type Set struct {
 	Reg     *Registry
 	Journal *Journal
 	Trace   *span.Tracer
+	Rec     *flight.Recorder
 }
 
 // NewSet builds a registry, a journal bounded at journalCap events, and a
@@ -397,4 +377,13 @@ func (s *Set) Spans() *span.Tracer {
 		return nil
 	}
 	return s.Trace
+}
+
+// Recorder returns the set's flight recorder; nil-safe (a nil recorder is
+// itself a valid no-op sink).
+func (s *Set) Recorder() *flight.Recorder {
+	if s == nil {
+		return nil
+	}
+	return s.Rec
 }

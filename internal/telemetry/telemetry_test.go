@@ -109,17 +109,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestBucketHelpers(t *testing.T) {
-	lin := LinearBuckets(1, 2, 3)
-	if lin[0] != 1 || lin[1] != 3 || lin[2] != 5 {
-		t.Fatalf("linear %v", lin)
-	}
-	exp := ExponentialBuckets(1, 10, 3)
-	if exp[0] != 1 || exp[1] != 10 || exp[2] != 100 {
-		t.Fatalf("exp %v", exp)
-	}
-}
-
 func TestSnapshotDeterministicRendering(t *testing.T) {
 	build := func() *Snapshot {
 		now := sim.Time(42 * sim.Microsecond)

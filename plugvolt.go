@@ -78,13 +78,15 @@ type System struct {
 	Kernel   *kernel.Kernel
 	Registry *sgx.Registry
 	CPUFreq  *pstate.Manager
-	// Telemetry is the system-wide metrics registry and event journal,
-	// clocked by the system simulator. Always non-nil after NewSystem; the
-	// guard, kernel, attacks and characterizer publish into it by default.
+	// Telemetry is the system-wide metrics registry, event journal, span
+	// tracer and flight recorder, clocked by the system simulator. Always
+	// non-nil after NewSystem; it is the one observability handle the
+	// platform, kernel, guard, attacks and characterizer hold.
 	Telemetry *telemetry.Set
 	// Flight is the optional flight recorder (nil until
 	// AttachFlightRecorder): the continuous pre-trigger state ring behind
-	// incident bundles.
+	// incident bundles. It rides in Telemetry; this field is the system's
+	// own copy, which SetTelemetry stores into a replacement set.
 	Flight *flight.Recorder
 }
 
@@ -126,9 +128,10 @@ func NewSystemFromSpec(spec *Spec, seed int64) (*System, error) {
 	// operating point, so every stolen slice also books joules and the
 	// energy ledgers decompose by CostKind exactly like stolen time.
 	sys.Kernel.SetEnergyPrice(p.Energy.PriceW)
-	// The span tracer observes every OC-mailbox write at the register file;
-	// the platform keeps it attached across crash reboots.
-	p.SetSpanTracer(sys.Telemetry.Spans())
+	// The set's span tracer and flight recorder observe every OC-mailbox
+	// write at the register file; the platform keeps the set attached
+	// across crash reboots.
+	p.SetTelemetry(sys.Telemetry)
 	// Attestation reports carry the hyperthreading status (the precedent
 	// the paper cites for attesting software features); derive it from the
 	// model's SMT topology.
@@ -141,20 +144,22 @@ func NewSystemFromSpec(spec *Spec, seed int64) (*System, error) {
 // Env packages the system for attack/defense deployment.
 func (s *System) Env() *defense.Env {
 	return &defense.Env{Platform: s.Platform, Kernel: s.Kernel,
-		Registry: s.Registry, Telemetry: s.Telemetry, Flight: s.Flight}
+		Registry: s.Registry, Telemetry: s.Telemetry}
 }
 
 // AttachFlightRecorder creates the system's flight recorder (ring capacity
 // and post-trigger window; <= 0 selects flight.DefaultCap/DefaultWindow) and
-// wires it into every observation point: mailbox writes at each core's MSR
-// file, P-state retargets, energy-segment boundaries, and — through Env()
-// and GuardConfig defaulting — attack triggers and guard polls. Idempotent
-// per system: a second call replaces the recorder.
+// stores it into the system's telemetry set. Every observation point holds
+// that set — mailbox writes at each core's MSR file, P-state retargets,
+// energy-segment boundaries, attack triggers and guard polls — so this one
+// store wires them all. A guard hands the recorder its unsafe-set view when
+// it is built, so attach before deploying the guard. Idempotent per system:
+// a second call replaces the recorder.
 func (s *System) AttachFlightRecorder(ringCap, window int) *flight.Recorder {
 	rec := flight.NewRecorder(s.Platform.Sim.Now, ringCap, window,
 		s.Platform.Spec.Codename, s.Platform.Seed())
 	s.Flight = rec
-	s.Platform.SetFlightRecorder(rec)
+	s.Telemetry.Rec = rec
 	return rec
 }
 
@@ -204,11 +209,17 @@ func (s *System) CollectTelemetry() {
 // SetTelemetry replaces the system's telemetry set and rewires every
 // component holding a reference to it. Tools that boot several systems can
 // point them all at one shared set so counters accumulate across runs (the
-// clock must then be managed by the caller).
+// clock must then be managed by the caller). The set's flight recorder is
+// overwritten with the system's own (nil when none is attached), so a set
+// shared across systems never routes one machine's records into another
+// machine's recorder.
 func (s *System) SetTelemetry(t *telemetry.Set) {
+	if t != nil {
+		t.Rec = s.Flight
+	}
 	s.Telemetry = t
 	s.Kernel.SetTelemetry(t)
-	s.Platform.SetSpanTracer(t.Spans())
+	s.Platform.SetTelemetry(t)
 }
 
 // DumpTelemetry collects pull-style state and writes the Prometheus
@@ -283,9 +294,6 @@ func (s *System) DeployGuardConfig(grid *Grid, cfg GuardConfig) (*defense.Pollin
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = s.Telemetry
 	}
-	if cfg.Flight == nil {
-		cfg.Flight = s.Flight
-	}
 	pol, err := defense.NewPolling(grid.UnsafeSet(), s.Platform.Spec.BusMHz, cfg)
 	if err != nil {
 		return nil, err
@@ -306,7 +314,6 @@ func (s *System) Defenses(grid *Grid) ([]Countermeasure, error) {
 	}
 	gcfg := core.DefaultGuardConfig()
 	gcfg.Telemetry = s.Telemetry
-	gcfg.Flight = s.Flight
 	pol, err := defense.NewPolling(grid.UnsafeSet(), s.Platform.Spec.BusMHz, gcfg)
 	if err != nil {
 		return nil, err

@@ -83,6 +83,29 @@ func TestTraceByteIdenticalAcrossRunsAndWorkers(t *testing.T) {
 	}
 }
 
+// The event journal obeys the same contract as the trace: characterize_row
+// events are journaled in frequency order and name no worker, so the JSONL
+// bytes do not see the characterization worker count.
+func TestJournalByteIdenticalAcrossWorkers(t *testing.T) {
+	journal := func(workers int) []byte {
+		sys, _, _, _ := attackScenario(t, workers)
+		var buf bytes.Buffer
+		if err := sys.Telemetry.Events().WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first := journal(1)
+	if !bytes.Contains(first, []byte(`"type":"characterize_row"`)) {
+		t.Fatal("journal holds no characterize_row events")
+	}
+	for _, workers := range []int{2, 8} {
+		if got := journal(workers); !bytes.Equal(first, got) {
+			t.Fatalf("journal differs between workers=1 and workers=%d", workers)
+		}
+	}
+}
+
 func TestGuardWritesCausallyCovered(t *testing.T) {
 	sys, guard, _, _ := attackScenario(t, 1)
 	spans := sys.Telemetry.Spans().Spans()
@@ -147,9 +170,8 @@ func TestSLOQuietOnCleanRunAndFlagsStall(t *testing.T) {
 	unsafe := grid.UnsafeSet()
 	p := sys.Platform
 	wd := &slo.Watchdog{
-		Tracer:  sys.Telemetry.Spans(),
-		Journal: sys.Telemetry.Events(),
-		Rules:   slo.DefaultRules(plugvolt.DefaultGuardConfig().PollPeriod),
+		Telemetry: sys.Telemetry,
+		Rules:     slo.DefaultRules(plugvolt.DefaultGuardConfig().PollPeriod),
 		Unsafe: func(core, offsetMV int) bool {
 			return unsafe.Contains(p.FreqKHz(core), offsetMV)
 		},
@@ -192,9 +214,8 @@ func TestSLOFlagsInducedStall(t *testing.T) {
 	sys.RunFor(5 * sim.Millisecond)
 
 	wd := &slo.Watchdog{
-		Tracer:  sys.Telemetry.Spans(),
-		Journal: sys.Telemetry.Events(),
-		Rules:   slo.DefaultRules(plugvolt.DefaultGuardConfig().PollPeriod),
+		Telemetry: sys.Telemetry,
+		Rules:     slo.DefaultRules(plugvolt.DefaultGuardConfig().PollPeriod),
 		Unsafe: func(core, offsetMV int) bool {
 			return unsafe.Contains(p.FreqKHz(core), offsetMV)
 		},
