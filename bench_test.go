@@ -110,8 +110,7 @@ func BenchmarkFig4CometLakeCharacterization(b *testing.B) { benchCharacterizatio
 
 // Scaling — the sharded engine across worker counts on the Comet Lake
 // model (the widest frequency table: 46 rows) at the paper's 1 mV offset
-// resolution, where row work dominates per-row platform construction
-// (~230us/row vs ~28us platform build). The grids are bit-for-bit
+// resolution. The grids are bit-for-bit
 // identical at every worker count; only wall-clock should move, and the
 // ns/op series across worker counts is what future BENCH_*.json snapshots
 // track. Speedup is bounded by GOMAXPROCS: on a single-CPU host the

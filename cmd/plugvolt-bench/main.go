@@ -50,7 +50,12 @@ type Artifact struct {
 
 // Result is one parsed benchmark line.
 type Result struct {
+	// Name is the benchmark name without the "-N" GOMAXPROCS suffix go test
+	// appends when N > 1, so runs on different core counts share names.
 	Name string `json:"name"`
+	// Procs is that stripped suffix; 0 when the line had none (a
+	// GOMAXPROCS=1 run, or an artifact written before it existed).
+	Procs int `json:"procs,omitempty"`
 	// Pkg is the import path from the "pkg:" header the result ran under.
 	// Artifacts written before it existed load with it empty.
 	Pkg        string `json:"pkg,omitempty"`
@@ -160,7 +165,8 @@ func parseBenchLine(line string) (Result, bool) {
 	if err != nil {
 		return Result{}, false
 	}
-	res := Result{Name: fields[0], Iterations: iters, Metrics: map[string]float64{}}
+	name, procs := splitProcs(fields[0])
+	res := Result{Name: name, Procs: procs, Iterations: iters, Metrics: map[string]float64{}}
 	// Remaining fields come in (value, unit) pairs.
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
@@ -173,6 +179,21 @@ func parseBenchLine(line string) (Result, bool) {
 		return Result{}, false
 	}
 	return res, true
+}
+
+// splitProcs splits go test's GOMAXPROCS suffix off a benchmark name:
+// "BenchmarkX/y-8" is ("BenchmarkX/y", 8). A name without one is returned
+// whole with procs 0.
+func splitProcs(name string) (string, int) {
+	i := strings.LastIndexByte(name, '-')
+	if i <= 0 {
+		return name, 0
+	}
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil || procs <= 0 {
+		return name, 0
+	}
+	return name[:i], procs
 }
 
 // compareArtifacts prints per-benchmark mean deltas for one metric between

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -279,9 +280,9 @@ ok  	plugvolt/internal/core	0.1s
 		t.Fatal(err)
 	}
 	want := map[string]string{
-		"BenchmarkAnnealTimeToFault-8":    "plugvolt",
-		"BenchmarkBisectVsSweep/sweep-8":  "plugvolt/internal/core",
-		"BenchmarkBisectVsSweep/bisect-8": "plugvolt/internal/core",
+		"BenchmarkAnnealTimeToFault":    "plugvolt",
+		"BenchmarkBisectVsSweep/sweep":  "plugvolt/internal/core",
+		"BenchmarkBisectVsSweep/bisect": "plugvolt/internal/core",
 	}
 	if len(art.Benchmarks) != len(want) {
 		t.Fatalf("parsed %d results, want %d", len(art.Benchmarks), len(want))
@@ -301,5 +302,65 @@ ok  	plugvolt/internal/core	0.1s
 	}
 	if a, err := load(old); err != nil || a.Benchmarks[0].Pkg != "" {
 		t.Fatalf("old artifact: %v, %+v", err, a)
+	}
+}
+
+// TestParseStripsProcsSuffix pins the GOMAXPROCS suffix handling: a fresh
+// multi-core run parses to the suffix-free names of the committed
+// baselines, with the suffix kept as procs, so -compare finds common
+// benchmarks instead of exiting with "no common ns/op benchmarks".
+func TestParseStripsProcsSuffix(t *testing.T) {
+	in := `pkg: plugvolt
+BenchmarkFig2SkyLakeCharacterization-2 	     300	   900000 ns/op
+BenchmarkGuardPollSteadyState/poll-telemetry-off-16 	 2000	   700.0 ns/op
+BenchmarkCharacterizeWorkers/8 	       1	  1000 ns/op
+`
+	art, err := parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Result{
+		{Name: "BenchmarkFig2SkyLakeCharacterization", Procs: 2},
+		{Name: "BenchmarkGuardPollSteadyState/poll-telemetry-off", Procs: 16},
+		{Name: "BenchmarkCharacterizeWorkers/8", Procs: 0},
+	}
+	if len(art.Benchmarks) != len(want) {
+		t.Fatalf("parsed %d results, want %d", len(art.Benchmarks), len(want))
+	}
+	for i, w := range want {
+		if got := art.Benchmarks[i]; got.Name != w.Name || got.Procs != w.Procs {
+			t.Errorf("row %d: %s procs %d, want %s procs %d", i, got.Name, got.Procs, w.Name, w.Procs)
+		}
+	}
+	enc, err := json.Marshal(art.Benchmarks[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(enc), "procs") {
+		t.Fatalf("suffix-free row serializes procs: %s", enc)
+	}
+
+	dir := t.TempDir()
+	fresh := filepath.Join(dir, "fresh.json")
+	enc, err = json.Marshal(art)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(fresh, enc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	baseline := filepath.Join(dir, "baseline.json")
+	doc := `{"context":{"pkg":"plugvolt"},"benchmarks":[
+		{"name":"BenchmarkFig2SkyLakeCharacterization","iterations":300,"metrics":{"ns/op":1000000}}],"raw":"x"}`
+	if err := os.WriteFile(baseline, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	regressed, err := compareArtifacts(&sb, baseline, fresh, 20, regexp.MustCompile("Fig2"), "ns/op")
+	if err != nil {
+		t.Fatalf("suffixed run does not compare against the suffix-free baseline: %v", err)
+	}
+	if len(regressed) != 0 {
+		t.Fatalf("a 10%% faster run flagged: %v", regressed)
 	}
 }

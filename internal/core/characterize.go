@@ -87,6 +87,9 @@ type characterizer struct {
 	// probes counts measurePoint calls, which the search_probes_total
 	// counter reports.
 	probes int
+	// uFault and uCrash are the pinned row's coupled probe thresholds (see
+	// probeU), drawn once per row by pinRow.
+	uFault, uCrash float64
 }
 
 // validateConfig checks a config against the spec before any platform
@@ -141,9 +144,8 @@ func offsetAxis(cfg CharacterizerConfig) []int {
 // least as bad). A crash reboots the platform and rebuilds the cpufreq
 // stack, as the paper's harness must.
 func (c *characterizer) sweepRowInto(row []Classification, freqKHz int, offs []int) error {
-	// Line 9: set core frequency through cpupower.
-	if err := c.cp.FrequencySet(c.cfg.VictimCore, freqKHz); err != nil {
-		return fmt.Errorf("core: cpupower at %d kHz: %w", freqKHz, err)
+	if err := c.pinRow(freqKHz); err != nil {
+		return err
 	}
 	crashed := false
 	for oi, offsetMV := range offs {
@@ -151,7 +153,7 @@ func (c *characterizer) sweepRowInto(row []Classification, freqKHz int, offs []i
 			row[oi] = Crash
 			continue
 		}
-		cls, err := c.measurePoint(freqKHz, offsetMV)
+		cls, err := c.measurePoint(offsetMV)
 		if err != nil {
 			return err
 		}
@@ -165,6 +167,16 @@ func (c *characterizer) sweepRowInto(row []Classification, freqKHz int, offs []i
 			c.resetCPUPower()
 		}
 	}
+	return nil
+}
+
+// pinRow sets the row frequency through cpupower (Algorithm 2 line 9) and
+// draws the row's probe thresholds.
+func (c *characterizer) pinRow(freqKHz int) error {
+	if err := c.cp.FrequencySet(c.cfg.VictimCore, freqKHz); err != nil {
+		return fmt.Errorf("core: cpupower at %d kHz: %w", freqKHz, err)
+	}
+	c.uFault, c.uCrash = c.probeU(freqKHz)
 	return nil
 }
 
@@ -219,14 +231,14 @@ func classifyCoupled(pAnyFault, pAnyCrash, uFault, uCrash float64) Classificatio
 	return Safe
 }
 
-// measurePoint programs one (frequency, offset) pair and measures the
+// measurePoint programs one offset on the pinned row and measures the
 // EXECUTE thread's outcome. The batch outcome is drawn with the row's
 // coupled thresholds (see probeU) against the live per-instruction
 // probabilities — which reflect whatever actually reached the rail,
 // including MSR-hook or defense interference — so a cell's class is a
 // deterministic function of the realized operating point, identical no
 // matter whether bisection or the sweep reaches it, or in what order.
-func (c *characterizer) measurePoint(freqKHz, offsetMV int) (Classification, error) {
+func (c *characterizer) measurePoint(offsetMV int) (Classification, error) {
 	p := c.P
 	// Line 10-11: compute the 0x150 value via Algorithm 1 and write it.
 	if err := p.WriteOffsetViaMSR(c.cfg.VictimCore, offsetMV, msr.PlaneCore); err != nil {
@@ -242,10 +254,9 @@ func (c *characterizer) measurePoint(freqKHz, offsetMV int) (Classification, err
 	}
 	c.probes++
 	core := p.Core(c.cfg.VictimCore)
-	uF, uC := c.probeU(freqKHz)
 	pAnyC := cpu.BatchUpsetProbability(c.cfg.Iterations, core.CrashProbability())
 	pAnyF := cpu.BatchUpsetProbability(c.cfg.Iterations, core.FaultProbability(c.class()))
-	return classifyCoupled(pAnyF, pAnyC, uF, uC), nil
+	return classifyCoupled(pAnyF, pAnyC, c.uFault, c.uCrash), nil
 }
 
 // restore re-applies the original frequency and zero offset (Algorithm 2

@@ -95,11 +95,15 @@ func (sc *ShardedCharacterizer) Run() (*Grid, error) {
 	return sc.run(sc.bisectRow, StrategyBisect)
 }
 
+// rowClassifier classifies one frequency row into row. memo is the
+// calling worker's prediction memo, reused across the rows it classifies.
+type rowClassifier func(memo *rowMemo, row []Classification, freqKHz int, offs []int) rowResult
+
 // run classifies every frequency row into its len(offs)-cell window with
 // classifyRow on the worker pool, fills in each result's fi, row and
 // worker, and merges the rows by frequency index. strategy labels the
 // search_* counters.
-func (sc *ShardedCharacterizer) run(classifyRow func(row []Classification, freqKHz int, offs []int) rowResult, strategy string) (*Grid, error) {
+func (sc *ShardedCharacterizer) run(classifyRow rowClassifier, strategy string) (*Grid, error) {
 	freqs := sc.spec.FreqTableKHz()
 	offs := offsetAxis(sc.cfg)
 	g := &Grid{
@@ -125,9 +129,10 @@ func (sc *ShardedCharacterizer) run(classifyRow func(row []Classification, freqK
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var memo rowMemo
 			for fi := range jobs {
 				row := cells[fi*len(offs) : (fi+1)*len(offs) : (fi+1)*len(offs)]
-				r := classifyRow(row, freqs[fi], offs)
+				r := classifyRow(&memo, row, freqs[fi], offs)
 				r.fi, r.row, r.worker = fi, row, w
 				results <- r
 			}
@@ -367,8 +372,8 @@ func (sc *ShardedCharacterizer) onRowPlatform(freqKHz int, classify func(*charac
 
 // sweepRow characterizes one frequency by measuring every cell up to the
 // first crash: Algorithm 2 as written. It is bisection's fallback and the
-// engine's test oracle.
-func (sc *ShardedCharacterizer) sweepRow(row []Classification, freqKHz int, offs []int) rowResult {
+// engine's test oracle, and reads no predictions.
+func (sc *ShardedCharacterizer) sweepRow(_ *rowMemo, row []Classification, freqKHz int, offs []int) rowResult {
 	return sc.onRowPlatform(freqKHz, func(ch *characterizer) error {
 		return ch.sweepRowInto(row, freqKHz, offs)
 	})

@@ -167,7 +167,10 @@ func New(s *sim.Simulator, hw Machine) *Kernel {
 
 // SetEnergyPrice attaches the power price function (watts per core at the
 // live commanded operating point; power.Tracker.PriceW is the canonical
-// source). Nil detaches; charged time then books no energy.
+// source). Nil detaches; charged time then books no energy. The tracker's
+// stored power, power.Tracker.CoreW, equals PriceW bit for bit only while
+// the machine is powered: kthreads keep charging through a reboot's
+// downtime, where CoreW is zero.
 func (k *Kernel) SetEnergyPrice(fn func(core int) float64) { k.priceW = fn }
 
 // chargeEnergy books the energy of a charged time slice: price the core's

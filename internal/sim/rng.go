@@ -60,7 +60,9 @@ type cachedSource struct {
 	live bool // ring reconstructed, stepping the recurrence
 	tap  int
 	feed int
-	vec  [lfibLen]int64
+	// vec is the generator ring, allocated by activate: a characterization
+	// row platform draws fewer than lfibLen values and never needs it.
+	vec *[lfibLen]int64
 	// raw, when non-nil, delegates everything to a stock source. Only Seed
 	// can set it, and only after cache verification has failed globally.
 	raw rand.Source
@@ -140,6 +142,7 @@ func disableRNGCache() {
 //
 // with the cursors back at their initial positions.
 func (s *cachedSource) activate() {
+	s.vec = new([lfibLen]int64)
 	for j := 0; j <= 333; j++ {
 		s.vec[j] = int64(s.st.out[333-j])
 	}

@@ -142,8 +142,8 @@ func TestPathByNameAfterAppend(t *testing.T) {
 }
 
 // TestCloneOwnsPrivateMemo verifies clones do not share delay-memo storage:
-// warming one clone must not leak entries into another (the arrays are
-// value-copied, not aliased).
+// warming one clone must not leak entries into another (each clone starts
+// with its own empty memo).
 func TestCloneOwnsPrivateMemo(t *testing.T) {
 	base := testCircuit()
 	base.Prepare()

@@ -123,11 +123,18 @@ type Circuit struct {
 	depths []float64
 	byName map[string]int
 	idxLen int
-	// dcKeys/dcVals is the direct-mapped voltage→unit-delay memo, keyed by
-	// the voltage's bit pattern. A zero key marks an empty slot: only
-	// v = +0.0 has zero bits, and Delay(+0) is either +Inf (short-circuited
-	// before the cache) or exactly the 0.0 an empty slot already holds.
-	// Clones copy the arrays by value, so each owner memoizes privately.
+	// memo is the circuit's private analysis memo, allocated on first use:
+	// a platform builds a circuit per core, and most cores of a
+	// characterization row platform never analyze anything.
+	memo *circuitMemo
+}
+
+// circuitMemo holds a circuit's direct-mapped analysis caches.
+type circuitMemo struct {
+	// dcKeys/dcVals is the voltage→unit-delay memo, keyed by the voltage's
+	// bit pattern. A zero key marks an empty slot: only v = +0.0 has zero
+	// bits, and Delay(+0) is either +Inf (short-circuited before the cache)
+	// or exactly the 0.0 an empty slot already holds.
 	dcKeys [delayCacheSize]uint64
 	dcVals [delayCacheSize]float64
 	// fpKeys/fpVals/fpSet memoize FaultProbability per slack bit pattern
@@ -139,11 +146,20 @@ type Circuit struct {
 	fpSet  [delayCacheSize]bool
 }
 
+// caches returns the circuit's memo, allocating it on first use.
+func (c *Circuit) caches() *circuitMemo {
+	if c.memo == nil {
+		c.memo = new(circuitMemo)
+	}
+	return c.memo
+}
+
 // Clone returns a shallow copy sharing the immutable path slice and derived
-// lookup tables but owning a private delay memo, so many cores can analyze
-// one validated circuit without rebuilding or contending on it.
+// lookup tables but owning a private, initially empty memo, so many cores
+// can analyze one validated circuit without rebuilding or contending on it.
 func (c *Circuit) Clone() *Circuit {
 	cp := *c
+	cp.memo = nil
 	return &cp
 }
 
@@ -183,14 +199,15 @@ func (c *Circuit) unitDelay(v float64) float64 {
 	if v <= c.Tech.Vth {
 		return math.Inf(1)
 	}
+	m := c.caches()
 	bits := math.Float64bits(v)
 	h := (bits * 0x9E3779B97F4A7C15) >> (64 - delayCacheBits)
-	if c.dcKeys[h] == bits {
-		return c.dcVals[h]
+	if m.dcKeys[h] == bits {
+		return m.dcVals[h]
 	}
 	d := c.Tech.Delay(v)
-	c.dcKeys[h] = bits
-	c.dcVals[h] = d
+	m.dcKeys[h] = bits
+	m.dcVals[h] = d
 	return d
 }
 
@@ -287,15 +304,16 @@ func (c *Circuit) FaultProbability(a Analysis) float64 {
 		}
 		return 0
 	}
+	m := c.caches()
 	bits := math.Float64bits(a.SlackPS)
 	h := (bits * 0x9E3779B97F4A7C15) >> (64 - delayCacheBits)
-	if c.fpSet[h] && c.fpKeys[h] == bits {
-		return c.fpVals[h]
+	if m.fpSet[h] && m.fpKeys[h] == bits {
+		return m.fpVals[h]
 	}
 	p := normalCDF(-a.SlackPS / c.JitterSigmaPS)
-	c.fpKeys[h] = bits
-	c.fpVals[h] = p
-	c.fpSet[h] = true
+	m.fpKeys[h] = bits
+	m.fpVals[h] = p
+	m.fpSet[h] = true
 	return p
 }
 

@@ -126,7 +126,9 @@ func NewSystemFromSpec(spec *Spec, seed int64) (*System, error) {
 	sys.Kernel.SetTelemetry(sys.Telemetry)
 	// Kernel time charges are priced in watts at the victim core's commanded
 	// operating point, so every stolen slice also books joules and the
-	// energy ledgers decompose by CostKind exactly like stolen time.
+	// energy ledgers decompose by CostKind exactly like stolen time. The
+	// charge re-prices the point rather than reading Energy.CoreW, which is
+	// zero during a reboot's downtime while kthreads keep charging.
 	sys.Kernel.SetEnergyPrice(p.Energy.PriceW)
 	// The set's span tracer and flight recorder observe every OC-mailbox
 	// write at the register file; the platform keeps the set attached
